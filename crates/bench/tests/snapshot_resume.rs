@@ -14,17 +14,48 @@ use cleanupspec::snap::{self, CheckpointKey};
 use cleanupspec_core::system::RunLimits;
 use cleanupspec_mem::rng::SplitMix64;
 use cleanupspec_obs::{RingSink, Shared};
+use cleanupspec_workloads::micro::mispredict_storm;
 use cleanupspec_workloads::spec::spec_workload;
 
 const INSTS: u64 = 3_000;
-const WORKLOADS: [&str; 2] = ["gcc", "mcf"];
+/// The unlearnable-branch storm input (`micro::mispredict_storm`).
+const STORM: &str = "mispredict_storm";
+const WORKLOADS: [&str; 3] = ["gcc", "mcf", STORM];
 
 fn build_sim(mode: SecurityMode, workload: &str, seed: u64) -> Simulator {
-    let w = spec_workload(workload).expect("known workload");
-    SimBuilder::new(mode)
-        .program(w.build(seed))
-        .seed(seed)
-        .build()
+    let program = if workload == STORM {
+        mispredict_storm(400, 3, seed)
+    } else {
+        spec_workload(workload).expect("known workload").build(seed)
+    };
+    SimBuilder::new(mode).program(program).seed(seed).build()
+}
+
+/// Cycles to checkpoint at. The SPEC-like workloads use three mid-run
+/// points. The storm uses the cycle that ends with a squash, past a third
+/// of the run: the snapshot then carries the squashed instructions'
+/// stale completion-queue entries, whose seqs dispatch reuses next.
+fn fork_points(mode: SecurityMode, workload: &str, seed: u64, total_cycles: u64) -> Vec<u64> {
+    if workload != STORM {
+        return [3u64, 2, 4].map(|frac| total_cycles / frac).to_vec();
+    }
+    let mut probe = build_sim(mode, workload, seed);
+    let mut squashes = 0;
+    for at in 1..total_cycles {
+        probe.run(RunLimits {
+            max_cycles: at,
+            ..full_limits()
+        });
+        let now = probe.core_stats(0).squashes;
+        if now > squashes && at >= total_cycles / 3 {
+            return vec![at];
+        }
+        squashes = now;
+    }
+    panic!(
+        "{mode}/{workload}: no squash after cycle {}",
+        total_cycles / 3
+    );
 }
 
 /// The limits `Simulator::run_insts(INSTS)` uses, reproduced so the
@@ -55,11 +86,10 @@ fn resume_is_bit_exact_for_every_mode() {
                 "{mode}/{workload}: run too short to interrupt"
             );
 
-            // Checkpoint at three mid-run points; with per-workload squash
-            // rates in the hundreds this lands inside squash/cleanup
-            // windows routinely.
-            for frac in [3u64, 2, 4] {
-                let at = total_cycles / frac;
+            // With per-workload squash rates in the hundreds the mid-run
+            // points land inside squash/cleanup windows routinely; the
+            // storm's point lands right after one by construction.
+            for at in fork_points(mode, workload, seed, total_cycles) {
                 let mut sim = build_sim(mode, workload, seed);
                 sim.run(RunLimits {
                     max_cycles: at,

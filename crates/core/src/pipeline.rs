@@ -24,7 +24,8 @@ use cleanupspec_mem::mshr::{LoadPath, MshrToken, SefeRecord};
 use cleanupspec_mem::stats::MsgClass;
 use cleanupspec_mem::types::{Addr, CoreId, Cycle, LineAddr, LoadId};
 use cleanupspec_obs::{Observer, PathKind, SimEvent};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Core configuration (defaults follow Table 4).
@@ -76,7 +77,7 @@ impl Default for CoreConfig {
 }
 
 /// A source operand captured at dispatch.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Src {
     /// Value known at dispatch (architectural or immediate).
     Ready(u64),
@@ -106,7 +107,6 @@ struct RobEntry {
     pred_target: Pc,
     actual_taken: bool,
     actual_target: Pc,
-    mispredict_pending: bool,
     lq: Option<usize>,
     sq: Option<usize>,
     commit_ready_at: Option<Cycle>,
@@ -114,6 +114,17 @@ struct RobEntry {
     /// The load touches a protected range: faults when it reaches commit
     /// (Meltdown-style deferred permission check).
     faulting: bool,
+}
+
+/// A `Waiting` ROB entry in the issue walk's list.
+#[derive(Clone, Copy, Debug)]
+struct Waiter {
+    seq: u64,
+    /// An in-flight producer whose result this entry's operands still
+    /// lacked when the walk last tried it (0 if none). While that producer
+    /// is not `Done` the entry cannot issue, so the walk skips it.
+    blocked_on: u64,
+    store: bool,
 }
 
 /// Load-queue entry state.
@@ -183,9 +194,17 @@ enum SquashPhase {
 /// One simulated out-of-order core.
 ///
 /// `Clone` deep-copies the full microarchitectural state — ROB, LQ/SQ,
-/// registers, predictor tables, in-flight squash phase — forming the
-/// per-core half of a cs-snap snapshot. The `Program` stays `Arc`-shared
-/// (immutable) and the observer handle is shared with the clone.
+/// registers, predictor tables, in-flight squash phase, and the derived
+/// event structures below — forming the per-core half of a cs-snap
+/// snapshot. The `Program` stays `Arc`-shared (immutable) and the
+/// observer handle is shared with the clone.
+///
+/// Sequence numbers are dense in the ROB (entry `i` holds seq
+/// `head + i`), so a seq locates its entry in O(1). The per-cycle stages
+/// work from structures derived from the ROB and LQ instead of walking
+/// them: `completions`, `mispredict`, `waiting`, `squash_sources`,
+/// `pending_fences` and `awaiting_visibility`. Debug builds check each of
+/// them against a full scan every cycle.
 #[derive(Clone, Debug)]
 pub struct Pipeline {
     core: CoreId,
@@ -195,7 +214,29 @@ pub struct Pipeline {
     regs: [u64; NUM_REGS],
     last_writer: [Option<u64>; NUM_REGS],
     rob: VecDeque<RobEntry>,
+    /// Min-heap of `(done_at, seq)`, pushed on every `Waiting→Issued`
+    /// transition. A squash leaves its entries behind and dispatch reuses
+    /// the seqs, so `complete` re-checks the entry's status before acting.
+    completions: BinaryHeap<Reverse<(Cycle, u64)>>,
+    /// Scratch list of the seqs `complete` handles this cycle (kept to
+    /// reuse its allocation).
+    due: Vec<u64>,
+    /// Oldest branch flagged mispredicted by this cycle's `complete`. The
+    /// squash it triggers removes every younger flagged entry, so one
+    /// register is exact.
+    mispredict: Option<u64>,
+    /// The `Waiting` entries, oldest first (the `issue` walk).
+    waiting: Vec<Waiter>,
+    /// Seqs of the entries that can still squash younger ones: control
+    /// not yet `Done`, and loads still `Waiting` or faulting.
+    squash_sources: BTreeSet<u64>,
+    /// Seqs of the fences not yet `Done`.
+    pending_fences: BTreeSet<u64>,
     lq: Vec<Option<LqEntry>>,
+    /// Per LQ slot: it holds a completed cache-accessing load whose
+    /// visibility hook has not run (`Done` with a line and
+    /// `visible_done == false`).
+    awaiting_visibility: Vec<bool>,
     sq: Vec<Option<SqEntry>>,
     lq_held: Vec<Cycle>,
     next_seq: u64,
@@ -235,7 +276,14 @@ impl Pipeline {
             regs,
             last_writer: [None; NUM_REGS],
             rob: VecDeque::with_capacity(cfg.rob_entries),
+            completions: BinaryHeap::with_capacity(cfg.rob_entries),
+            due: Vec::with_capacity(cfg.issue_width),
+            mispredict: None,
+            waiting: Vec::with_capacity(cfg.rob_entries),
+            squash_sources: BTreeSet::new(),
+            pending_fences: BTreeSet::new(),
             lq: (0..cfg.lq_entries).map(|_| None).collect(),
+            awaiting_visibility: vec![false; cfg.lq_entries],
             sq: (0..cfg.sq_entries).map(|_| None).collect(),
             lq_held: Vec::new(),
             next_seq: 1,
@@ -379,6 +427,8 @@ impl Pipeline {
             self.issue(scheme, mem, dmem, now);
         }
         self.fetch(now);
+        #[cfg(debug_assertions)]
+        self.check_derived_state();
         let cause = self.classify_cycle(now, committed);
         self.stats.cpi_stack.charge(cause);
     }
@@ -456,18 +506,34 @@ impl Pipeline {
     // ------------------------------------------------------------------
 
     fn complete(&mut self, mem: &mut MemHierarchy, now: Cycle) {
-        let head_seq = self.rob.front().map(|e| e.seq).unwrap_or(self.next_seq);
-        for i in 0..self.rob.len() {
-            let (seq, due, lq_idx, is_control) = {
-                let e = &self.rob[i];
-                let due = matches!(e.status, Status::Issued { done_at } if done_at <= now);
-                (e.seq, due, e.lq, e.inst.is_control())
-            };
-            if !due {
-                continue;
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        while let Some(&Reverse((done_at, seq))) = self.completions.peek() {
+            if done_at > now {
+                break;
             }
+            self.completions.pop();
+            due.push(seq);
+        }
+        // Seq order keeps the predictor updates and `load_id`s in the order
+        // of a full ROB walk. Entries left by a squash may name a seq that
+        // dispatch has since reused: act only on a live `Issued` entry that
+        // is due.
+        due.sort_unstable();
+        due.dedup();
+        let head = self.head_seq();
+        due.retain(|&seq| {
+            seq >= head
+                && self.rob.get((seq - head) as usize).is_some_and(
+                    |e| matches!(e.status, Status::Issued { done_at } if done_at <= now),
+                )
+        });
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(due, self.due_scan(now), "completion queue");
+        for &seq in &due {
+            let i = (seq - head) as usize;
             // Collect the load's SEFE if this entry owns an inflight load.
-            if let Some(li) = lq_idx {
+            if let Some(li) = self.rob[i].lq {
                 if let Some(lqe) = self.lq[li] {
                     if lqe.seq == seq {
                         if let LqState::Inflight {
@@ -493,39 +559,40 @@ impl Pipeline {
                                     visible_done: false,
                                 },
                             });
+                            self.awaiting_visibility[li] = true;
                         }
                     }
                 }
             }
             let e = &mut self.rob[i];
             e.status = Status::Done;
-            if is_control {
+            if matches!(e.inst, Inst::Fence) {
+                self.pending_fences.remove(&seq);
+            }
+            if e.inst.is_control() {
+                self.squash_sources.remove(&seq);
                 // Resolve: detect misprediction and train the predictor.
                 let mispredicted =
                     e.pred_taken != e.actual_taken || e.pred_target != e.actual_target;
                 match e.inst {
                     Inst::Branch { .. } => {
-                        self.stats.committed_branches += 0; // counted at commit
-                        if mispredicted {
-                            self.stats.mispredicts += 1;
-                            e.mispredict_pending = true;
-                        }
                         let (pc, taken) = (e.pc, e.actual_taken);
                         self.pred.update(pc, taken, mispredicted);
                     }
                     Inst::Ret => {
-                        if mispredicted {
-                            self.stats.mispredicts += 1;
-                            e.mispredict_pending = true;
-                        }
                         let (pc, tgt) = (e.pc, e.actual_target);
                         self.pred.btb_update(pc, tgt);
                     }
                     _ => {} // jumps and calls have static targets
                 }
+                if mispredicted && matches!(e.inst, Inst::Branch { .. } | Inst::Ret) {
+                    self.stats.mispredicts += 1;
+                    // Seq order: the first flagged branch is the oldest.
+                    self.mispredict.get_or_insert(seq);
+                }
             }
-            let _ = head_seq;
         }
+        self.due = due;
     }
 
     /// Fires [`SpeculationScheme::on_load_visible`] for completed loads
@@ -536,7 +603,14 @@ impl Pipeline {
         mem: &mut MemHierarchy,
         now: Cycle,
     ) {
+        // Neither bound moves during the scan: the hook only reads the
+        // load it is handed. Slots are visited in index order.
+        let oldest_source = self.oldest_squash_source();
+        let mut oldest_pending = None;
         for li in 0..self.lq.len() {
+            if !self.awaiting_visibility[li] {
+                continue;
+            }
             let Some(lqe) = self.lq[li] else { continue };
             let LqState::Done {
                 line: Some(line),
@@ -548,15 +622,26 @@ impl Pipeline {
             else {
                 continue;
             };
-            if self.has_older_unresolved_control(lqe.seq) {
+            #[cfg(debug_assertions)]
+            debug_assert_eq!(
+                oldest_source < lqe.seq,
+                self.has_older_unresolved_control_scan(lqe.seq),
+                "squash sources"
+            );
+            if oldest_source < lqe.seq {
                 continue;
             }
             // TSO validation condition: an older load is still pending.
-            let needs_validation = self
-                .lq
-                .iter()
-                .flatten()
-                .any(|e| e.seq < lqe.seq && !matches!(e.state, LqState::Done { .. }));
+            let oldest_pending = *oldest_pending.get_or_insert_with(|| {
+                self.lq
+                    .iter()
+                    .flatten()
+                    .filter(|e| !matches!(e.state, LqState::Done { .. }))
+                    .map(|e| e.seq)
+                    .min()
+                    .unwrap_or(u64::MAX)
+            });
+            let needs_validation = oldest_pending < lqe.seq;
             let exposed = scheme.on_load_visible(
                 mem,
                 self.core,
@@ -581,6 +666,7 @@ impl Pipeline {
                 *exposed_until = exposed;
                 *visible_done = true;
             }
+            self.awaiting_visibility[li] = false;
         }
     }
 
@@ -594,15 +680,9 @@ impl Pipeline {
         mem: &mut MemHierarchy,
         now: Cycle,
     ) {
-        // First: detect newly resolved mispredicts (oldest wins).
-        if let Some(pos) = self
-            .rob
-            .iter()
-            .position(|e| e.mispredict_pending && e.status == Status::Done)
-        {
-            let branch_seq = self.rob[pos].seq;
-            let redirect = self.rob[pos].actual_target;
-            self.rob[pos].mispredict_pending = false;
+        // First: squash behind the oldest newly resolved mispredict.
+        if let Some(branch_seq) = self.mispredict.take() {
+            let redirect = self.rob[(branch_seq - self.head_seq()) as usize].actual_target;
             self.stats.squashes += 1;
             let before = self.stats.squashed_insts;
             let new_loads = self.squash_younger(branch_seq);
@@ -754,13 +834,15 @@ impl Pipeline {
             }
             let e = self.rob.pop_back().expect("checked non-empty");
             self.stats.squashed_insts += 1;
+            self.squash_sources.remove(&e.seq);
+            self.pending_fences.remove(&e.seq);
             if let Some(li) = e.lq {
                 if let Some(lqe) = self.lq[li] {
                     if lqe.seq == e.seq {
-                        let rec =
-                            self.squash_record(&lqe, matches!(e.status, Status::Issued { .. }));
+                        let rec = self.squash_record(&lqe);
                         loads.push(rec);
                         self.lq[li] = None;
+                        self.awaiting_visibility[li] = false;
                     }
                 }
             }
@@ -774,8 +856,12 @@ impl Pipeline {
         }
         // Sequence numbers are dense in the ROB (positions are computed as
         // seq offsets), so dispatch resumes right after the branch. Safe:
-        // every consumer of a squashed seq was itself squashed.
+        // every consumer of a squashed seq was itself squashed. The derived
+        // sets and list drop the squashed seqs too; the completion queue
+        // keeps its entries and `complete` filters them.
         self.next_seq = branch_seq + 1;
+        let kept = self.waiting.partition_point(|w| w.seq <= branch_seq);
+        self.waiting.truncate(kept);
         // Loads were collected youngest-first; the scheme expects oldest
         // first.
         loads.reverse();
@@ -789,7 +875,7 @@ impl Pipeline {
         loads
     }
 
-    fn squash_record(&mut self, lqe: &LqEntry, _rob_issued: bool) -> SquashedLoad {
+    fn squash_record(&mut self, lqe: &LqEntry) -> SquashedLoad {
         match lqe.state {
             LqState::NotIssued => {
                 self.stats
@@ -968,6 +1054,7 @@ impl Pipeline {
                                 CommitAction::HoldLqUntil(c) => {
                                     if let Some(li) = entry.lq {
                                         self.lq[li] = None;
+                                        self.awaiting_visibility[li] = false;
                                         self.lq_held.push(c);
                                         entry.lq = None;
                                         self.rob.front_mut().expect("head").lq = None;
@@ -1016,6 +1103,7 @@ impl Pipeline {
             if let Some(li) = entry.lq {
                 if self.lq[li].is_some_and(|l| l.seq == entry.seq) {
                     self.lq[li] = None;
+                    self.awaiting_visibility[li] = false;
                 }
             }
             if let Some(si) = entry.sq {
@@ -1108,13 +1196,10 @@ impl Pipeline {
             Src::Wait(seq) => {
                 let head = self.rob.front()?.seq;
                 if seq < head {
-                    // The producer committed; but the consumer captured the
-                    // dependency at dispatch, so the architectural file now
-                    // holds its value only if no later committed writer
-                    // clobbered it — which cannot happen before this entry
-                    // commits. Read the producer's register via last_writer
-                    // is not possible here; this path is unreachable
-                    // because commit clears dependencies through regs.
+                    // The producer committed: its value is in the
+                    // architectural register file, which `src_value_for`
+                    // reads (it knows the source register) before falling
+                    // back here for in-flight producers.
                     None
                 } else {
                     let idx = (seq - head) as usize;
@@ -1136,8 +1221,7 @@ impl Pipeline {
         match src {
             Src::Ready(v) => Some(v),
             Src::Wait(seq) => {
-                let head = self.rob.front().map(|e| e.seq).unwrap_or(self.next_seq);
-                if seq < head {
+                if seq < self.head_seq() {
                     Some(self.regs[reg_fallback.index()])
                 } else {
                     self.src_value(src)
@@ -1146,24 +1230,42 @@ impl Pipeline {
         }
     }
 
-    /// Whether anything older than `seq` can still squash it: an
-    /// unresolved control instruction, or a load that has not yet passed
-    /// its (deferred) permission check — the "all transient instructions
-    /// are unsafe until they cannot be squashed" threat model of the
-    /// paper, which covers both Spectre- and Meltdown-class events.
+    /// Seq of the ROB head (the next seq to dispatch when the ROB is empty).
+    fn head_seq(&self) -> u64 {
+        self.rob.front().map_or(self.next_seq, |e| e.seq)
+    }
+
+    /// Oldest entry that can still squash younger ones (`u64::MAX` if
+    /// none): an unresolved control instruction, or a load that has not yet
+    /// passed its (deferred) permission check — the "all transient
+    /// instructions are unsafe until they cannot be squashed" threat model
+    /// of the paper, which covers both Spectre- and Meltdown-class events.
+    fn oldest_squash_source(&self) -> u64 {
+        self.squash_sources.first().copied().unwrap_or(u64::MAX)
+    }
+
+    /// Whether anything older than `seq` can still squash it.
     fn has_older_unresolved_control(&self, seq: u64) -> bool {
-        self.rob.iter().take_while(|e| e.seq < seq).any(|e| {
-            (e.inst.is_control() && e.status != Status::Done)
-                || (e.inst.is_load() && (e.status == Status::Waiting || e.faulting))
-        })
+        let fast = self.oldest_squash_source() < seq;
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            fast,
+            self.has_older_unresolved_control_scan(seq),
+            "squash sources"
+        );
+        fast
     }
 
     /// Memory operations may not issue past an incomplete older fence.
     fn has_older_pending_fence(&self, seq: u64) -> bool {
-        self.rob
-            .iter()
-            .take_while(|e| e.seq < seq)
-            .any(|e| matches!(e.inst, Inst::Fence) && e.status != Status::Done)
+        let fast = self.pending_fences.first().is_some_and(|&f| f < seq);
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            fast,
+            self.has_older_pending_fence_scan(seq),
+            "pending fences"
+        );
+        fast
     }
 
     fn sq_forward(&self, seq: u64, addr: Addr) -> Option<u64> {
@@ -1177,17 +1279,21 @@ impl Pipeline {
             .and_then(|s| s.value)
     }
 
-    /// Conservative memory disambiguation: a load may not issue past an
-    /// older store whose address is still unknown (no store-set
-    /// speculation — a memory-order mis-speculation would need its own
-    /// squash-and-undo path).
-    fn has_older_unknown_store(&self, seq: u64) -> bool {
-        self.sq
-            .iter()
-            .flatten()
-            .any(|s| s.seq < seq && s.addr.is_none())
+    /// Moves ROB entry `i` from `Waiting` to `Issued`, queueing its
+    /// completion. A load stops being a squash source here unless its
+    /// permission check will fault.
+    fn set_issued(&mut self, i: usize, done_at: Cycle) {
+        let e = &mut self.rob[i];
+        debug_assert_eq!(e.status, Status::Waiting);
+        e.status = Status::Issued { done_at };
+        self.completions.push(Reverse((done_at, e.seq)));
+        if e.inst.is_load() && !e.faulting {
+            self.squash_sources.remove(&e.seq);
+        }
     }
 
+    /// Walks the `Waiting` entries oldest first, issuing up to
+    /// `issue_width` of them.
     fn issue(
         &mut self,
         scheme: &mut dyn SpeculationScheme,
@@ -1195,226 +1301,274 @@ impl Pipeline {
         dmem: &mut DataMem,
         now: Cycle,
     ) {
+        let mut waiting = std::mem::take(&mut self.waiting);
+        let head = self.head_seq();
         let mut budget = self.cfg.issue_width;
-        let len = self.rob.len();
-        for i in 0..len {
-            if budget == 0 {
-                break;
-            }
-            let e = &self.rob[i];
-            if e.status != Status::Waiting {
-                continue;
-            }
-            let seq = e.seq;
-            let inst = e.inst;
-            match inst {
-                Inst::Nop | Inst::Halt => {
-                    self.rob[i].status = Status::Issued { done_at: now + 1 };
+        // Conservative memory disambiguation: a load may not issue past an
+        // older store whose address is still unknown (no store-set
+        // speculation — a memory-order mis-speculation would need its own
+        // squash-and-undo path). A store's address is known once it
+        // issues, and every older `Waiting` entry is walked before a load.
+        let mut unknown_store = false;
+        let (mut walked, mut kept) = (0, 0);
+        while walked < waiting.len() && budget > 0 {
+            let mut w = waiting[walked];
+            walked += 1;
+            let i = (w.seq - head) as usize;
+            // An entry missing an operand cannot issue, and trying it has
+            // no side effect.
+            let blocked = w.blocked_on >= head
+                && self.rob[(w.blocked_on - head) as usize].status != Status::Done;
+            if !blocked {
+                if self.issue_one(i, unknown_store, scheme, mem, dmem, now) {
                     budget -= 1;
                 }
-                Inst::Fence => {
-                    // Issue only as the oldest instruction.
-                    if i == 0 {
-                        self.rob[i].status = Status::Issued { done_at: now + 1 };
-                        budget -= 1;
-                    }
+                if self.rob[i].status != Status::Waiting {
+                    continue;
                 }
-                Inst::Alu { op, latency, .. } => {
-                    let (Some(a), Some(b)) = (self.operand(i, 0), self.operand(i, 1)) else {
-                        continue;
-                    };
-                    let e = &mut self.rob[i];
-                    e.result = Some(op.apply(a, b));
-                    e.status = Status::Issued {
-                        done_at: now + latency as Cycle,
-                    };
-                    budget -= 1;
+                w.blocked_on = self.missing_producer(i, head);
+            }
+            unknown_store |= w.store;
+            waiting[kept] = w;
+            kept += 1;
+        }
+        let tail = waiting.len() - walked;
+        waiting.copy_within(walked.., kept);
+        waiting.truncate(kept + tail);
+        self.waiting = waiting;
+    }
+
+    /// An in-flight producer that has not yet delivered a result one of
+    /// ROB entry `i`'s operands waits on (0 if none).
+    fn missing_producer(&self, i: usize, head: u64) -> u64 {
+        self.rob[i]
+            .srcs
+            .iter()
+            .flatten()
+            .find_map(|&src| match src {
+                Src::Wait(p)
+                    if p >= head && self.rob[(p - head) as usize].status != Status::Done =>
+                {
+                    Some(p)
                 }
-                Inst::Load { offset, .. } => {
-                    if self.has_older_pending_fence(seq) || self.has_older_unknown_store(seq) {
-                        continue;
+                _ => None,
+            })
+            .unwrap_or(0)
+    }
+
+    /// Tries to issue the `Waiting` ROB entry `i`. Returns whether it used
+    /// an issue slot: a deferred load or an MSHR-full retry uses one
+    /// while staying `Waiting`.
+    fn issue_one(
+        &mut self,
+        i: usize,
+        older_unknown_store: bool,
+        scheme: &mut dyn SpeculationScheme,
+        mem: &mut MemHierarchy,
+        dmem: &mut DataMem,
+        now: Cycle,
+    ) -> bool {
+        let e = &self.rob[i];
+        let seq = e.seq;
+        match e.inst {
+            Inst::Nop | Inst::Halt => {
+                self.set_issued(i, now + 1);
+                true
+            }
+            Inst::Fence => {
+                // Issue only as the oldest instruction.
+                if i != 0 {
+                    return false;
+                }
+                self.set_issued(i, now + 1);
+                true
+            }
+            Inst::Alu { op, latency, .. } => {
+                let (Some(a), Some(b)) = (self.operand(i, 0), self.operand(i, 1)) else {
+                    return false;
+                };
+                self.rob[i].result = Some(op.apply(a, b));
+                self.set_issued(i, now + latency as Cycle);
+                true
+            }
+            Inst::Load { offset, .. } => {
+                #[cfg(debug_assertions)]
+                debug_assert_eq!(
+                    older_unknown_store,
+                    self.has_older_unknown_store_scan(seq),
+                    "unknown-store flag"
+                );
+                if self.has_older_pending_fence(seq) || older_unknown_store {
+                    return false;
+                }
+                let Some(base) = self.operand(i, 0) else {
+                    return false;
+                };
+                let addr = Addr::new(base.wrapping_add(offset as u64));
+                let unsquashable = !self.has_older_unresolved_control(seq);
+                if scheme.issue_policy() == LoadIssuePolicy::WhenUnsquashable && !unsquashable {
+                    return false;
+                }
+                // Deferred (GetS-Safe) loads retry only when safe.
+                let deferred_now = self.rob[i]
+                    .lq
+                    .and_then(|li| self.lq[li])
+                    .is_some_and(|l| matches!(l.state, LqState::Deferred { .. }));
+                if deferred_now && !unsquashable {
+                    return false;
+                }
+                // Store-to-load forwarding: serviced from the SQ with no
+                // cache access (and therefore no side effects).
+                if let Some(v) = self.sq_forward(seq, addr) {
+                    let li = self.rob[i].lq.expect("loads own an LQ slot");
+                    self.lq[li] = Some(LqEntry {
+                        seq,
+                        state: LqState::Done {
+                            line: None,
+                            path: None,
+                            sefe: SefeRecord::default(),
+                            load_id: None,
+                            issued_spec: false,
+                            completed_at: now,
+                            exposed_until: None,
+                            visible_done: true,
+                        },
+                    });
+                    self.rob[i].result = Some(v);
+                    self.set_issued(i, now + 1);
+                    self.stats.forwarded_loads += 1;
+                    return true;
+                }
+                let is_spec = !unsquashable;
+                // Meltdown-style race: the permission check is deferred
+                // to commit; the access itself proceeds and its data
+                // flows to dependents transiently.
+                if self.program.is_protected(addr) {
+                    self.rob[i].faulting = true;
+                }
+                match scheme.issue_load(
+                    mem,
+                    LoadIssue {
+                        core: self.core,
+                        line: addr.line(),
+                        now,
+                        is_spec,
+                    },
+                ) {
+                    Ok(out) if out.deferred => {
+                        let li = self.rob[i].lq.expect("loads own an LQ slot");
+                        if !deferred_now {
+                            self.stats.deferred_loads += 1;
+                        }
+                        self.lq[li] = Some(LqEntry {
+                            seq,
+                            state: LqState::Deferred { line: addr.line() },
+                        });
                     }
-                    let Some(base) = self.operand(i, 0) else {
-                        continue;
-                    };
-                    let addr = Addr::new(base.wrapping_add(offset as u64));
-                    let unsquashable = !self.has_older_unresolved_control(seq);
-                    if scheme.issue_policy() == LoadIssuePolicy::WhenUnsquashable && !unsquashable {
-                        continue;
-                    }
-                    // Deferred (GetS-Safe) loads retry only when safe.
-                    let deferred_now = self.rob[i]
-                        .lq
-                        .and_then(|li| self.lq[li])
-                        .is_some_and(|l| matches!(l.state, LqState::Deferred { .. }));
-                    if deferred_now && !unsquashable {
-                        continue;
-                    }
-                    // Store-to-load forwarding: serviced from the SQ with no
-                    // cache access (and therefore no side effects).
-                    if let Some(v) = self.sq_forward(seq, addr) {
+                    Ok(out) => {
+                        self.emit(
+                            now,
+                            TraceEvent::LoadIssue {
+                                seq,
+                                line: addr.line(),
+                                path: out.path,
+                                spec: is_spec,
+                            },
+                        );
+                        self.obs.emit_with(now, || SimEvent::LoadIssue {
+                            core: self.core.index(),
+                            seq,
+                            line: addr.line().raw(),
+                            path: PathKind::from(out.path),
+                            spec: is_spec,
+                            latency: out.complete_at - now,
+                        });
                         let li = self.rob[i].lq.expect("loads own an LQ slot");
                         self.lq[li] = Some(LqEntry {
                             seq,
-                            state: LqState::Done {
-                                line: None,
-                                path: None,
-                                sefe: SefeRecord::default(),
-                                load_id: None,
-                                issued_spec: false,
-                                completed_at: now,
-                                exposed_until: None,
-                                visible_done: true,
+                            state: LqState::Inflight {
+                                line: addr.line(),
+                                token: out.token,
+                                path: out.path,
+                                issued_spec: is_spec,
+                                prov: out.provenance,
                             },
                         });
-                        let e = &mut self.rob[i];
-                        e.result = Some(v);
-                        e.status = Status::Issued { done_at: now + 1 };
-                        self.stats.forwarded_loads += 1;
-                        budget -= 1;
-                        continue;
-                    }
-                    let is_spec = !unsquashable;
-                    // Meltdown-style race: the permission check is deferred
-                    // to commit; the access itself proceeds and its data
-                    // flows to dependents transiently.
-                    if self.program.is_protected(addr) {
-                        self.rob[i].faulting = true;
-                    }
-                    match scheme.issue_load(
-                        mem,
-                        LoadIssue {
-                            core: self.core,
-                            line: addr.line(),
-                            now,
-                            is_spec,
-                        },
-                    ) {
-                        Ok(out) if out.deferred => {
-                            let li = self.rob[i].lq.expect("loads own an LQ slot");
-                            if !deferred_now {
-                                self.stats.deferred_loads += 1;
-                            }
-                            self.lq[li] = Some(LqEntry {
-                                seq,
-                                state: LqState::Deferred { line: addr.line() },
-                            });
-                            budget -= 1;
+                        if is_spec {
+                            self.stats.spec_issued_loads += 1;
                         }
-                        Ok(out) => {
-                            self.emit(
-                                now,
-                                TraceEvent::LoadIssue {
-                                    seq,
-                                    line: addr.line(),
-                                    path: out.path,
-                                    spec: is_spec,
-                                },
-                            );
-                            self.obs.emit_with(now, || SimEvent::LoadIssue {
-                                core: self.core.index(),
-                                seq,
-                                line: addr.line().raw(),
-                                path: PathKind::from(out.path),
-                                spec: is_spec,
-                                latency: out.complete_at - now,
-                            });
-                            let li = self.rob[i].lq.expect("loads own an LQ slot");
-                            self.lq[li] = Some(LqEntry {
-                                seq,
-                                state: LqState::Inflight {
-                                    line: addr.line(),
-                                    token: out.token,
-                                    path: out.path,
-                                    issued_spec: is_spec,
-                                    prov: out.provenance,
-                                },
-                            });
-                            if is_spec {
-                                self.stats.spec_issued_loads += 1;
-                            }
-                            let e = &mut self.rob[i];
-                            e.result = Some(dmem.read(addr));
-                            e.status = Status::Issued {
-                                done_at: out.complete_at,
-                            };
-                            budget -= 1;
-                        }
-                        Err(_) => {
-                            // MSHRs full: retry next cycle.
-                            self.mshr_blocked = true;
-                            budget -= 1;
-                        }
+                        self.rob[i].result = Some(dmem.read(addr));
+                        self.set_issued(i, out.complete_at);
+                    }
+                    Err(_) => {
+                        // MSHRs full: retry next cycle.
+                        self.mshr_blocked = true;
                     }
                 }
-                Inst::Store { offset, .. } => {
-                    if self.has_older_pending_fence(seq) {
-                        continue;
-                    }
-                    let (Some(base), Some(val)) = (self.operand(i, 0), self.operand(i, 1)) else {
-                        continue;
-                    };
-                    let addr = Addr::new(base.wrapping_add(offset as u64));
-                    let si = self.rob[i].sq.expect("stores own an SQ slot");
-                    self.sq[si] = Some(SqEntry {
-                        seq,
-                        addr: Some(addr),
-                        value: Some(val),
-                    });
-                    self.rob[i].status = Status::Issued { done_at: now + 1 };
-                    budget -= 1;
+                true
+            }
+            Inst::Store { offset, .. } => {
+                if self.has_older_pending_fence(seq) {
+                    return false;
                 }
-                Inst::Branch { cond, target, .. } => {
-                    let Some(v) = self.operand(i, 0) else {
-                        continue;
-                    };
-                    let taken = cond.taken(v);
-                    let e = &mut self.rob[i];
-                    e.actual_taken = taken;
-                    e.actual_target = if taken { target } else { e.pc + 1 };
-                    e.status = Status::Issued {
-                        done_at: now + self.cfg.branch_latency,
-                    };
-                    budget -= 1;
-                }
-                Inst::Jump { target } => {
-                    let e = &mut self.rob[i];
-                    e.actual_taken = true;
-                    e.actual_target = target;
-                    e.status = Status::Issued { done_at: now + 1 };
-                    budget -= 1;
-                }
-                Inst::Call { target } => {
-                    let e = &mut self.rob[i];
-                    e.result = Some((e.pc + 1) as u64);
-                    e.actual_taken = true;
-                    e.actual_target = target;
-                    e.status = Status::Issued { done_at: now + 1 };
-                    budget -= 1;
-                }
-                Inst::Ret => {
-                    let Some(link) = self.operand(i, 0) else {
-                        continue;
-                    };
-                    let e = &mut self.rob[i];
-                    e.actual_taken = true;
-                    e.actual_target = link as Pc;
-                    e.status = Status::Issued {
-                        done_at: now + self.cfg.branch_latency,
-                    };
-                    budget -= 1;
-                }
-                Inst::Clflush { offset, .. } => {
-                    let Some(base) = self.operand(i, 0) else {
-                        continue;
-                    };
-                    let e = &mut self.rob[i];
-                    // Address computed now; the flush itself happens at
-                    // commit (delayed to the correct path, Section 3.5).
-                    e.result = Some(base.wrapping_add(offset as u64));
-                    e.status = Status::Issued { done_at: now + 1 };
-                    budget -= 1;
-                }
+                let (Some(base), Some(val)) = (self.operand(i, 0), self.operand(i, 1)) else {
+                    return false;
+                };
+                let addr = Addr::new(base.wrapping_add(offset as u64));
+                let si = self.rob[i].sq.expect("stores own an SQ slot");
+                self.sq[si] = Some(SqEntry {
+                    seq,
+                    addr: Some(addr),
+                    value: Some(val),
+                });
+                self.set_issued(i, now + 1);
+                true
+            }
+            Inst::Branch { cond, target, .. } => {
+                let Some(v) = self.operand(i, 0) else {
+                    return false;
+                };
+                let taken = cond.taken(v);
+                let e = &mut self.rob[i];
+                e.actual_taken = taken;
+                e.actual_target = if taken { target } else { e.pc + 1 };
+                self.set_issued(i, now + self.cfg.branch_latency);
+                true
+            }
+            Inst::Jump { target } => {
+                let e = &mut self.rob[i];
+                e.actual_taken = true;
+                e.actual_target = target;
+                self.set_issued(i, now + 1);
+                true
+            }
+            Inst::Call { target } => {
+                let e = &mut self.rob[i];
+                e.result = Some((e.pc + 1) as u64);
+                e.actual_taken = true;
+                e.actual_target = target;
+                self.set_issued(i, now + 1);
+                true
+            }
+            Inst::Ret => {
+                let Some(link) = self.operand(i, 0) else {
+                    return false;
+                };
+                let e = &mut self.rob[i];
+                e.actual_taken = true;
+                e.actual_target = link as Pc;
+                self.set_issued(i, now + self.cfg.branch_latency);
+                true
+            }
+            Inst::Clflush { offset, .. } => {
+                let Some(base) = self.operand(i, 0) else {
+                    return false;
+                };
+                // Address computed now; the flush itself happens at
+                // commit (delayed to the correct path, Section 3.5).
+                self.rob[i].result = Some(base.wrapping_add(offset as u64));
+                self.set_issued(i, now + 1);
+                true
             }
         }
     }
@@ -1553,13 +1707,23 @@ impl Pipeline {
                 pred_target,
                 actual_taken: false,
                 actual_target: 0,
-                mispredict_pending: false,
                 lq,
                 sq,
                 commit_ready_at: None,
                 committed_scheme_done: false,
                 faulting: false,
             });
+            self.waiting.push(Waiter {
+                seq,
+                blocked_on: 0,
+                store: matches!(inst, Inst::Store { .. }),
+            });
+            if inst.is_control() || inst.is_load() {
+                self.squash_sources.insert(seq);
+            }
+            if matches!(inst, Inst::Fence) {
+                self.pending_fences.insert(seq);
+            }
             if let Some(d) = dst {
                 self.last_writer[d.index()] = Some(seq);
             }
@@ -1606,6 +1770,112 @@ impl Pipeline {
     }
 }
 
+/// Full-scan oracles for the derived structures (debug builds only; the
+/// release build has no second path).
+#[cfg(debug_assertions)]
+impl Pipeline {
+    fn has_older_unresolved_control_scan(&self, seq: u64) -> bool {
+        self.rob.iter().take_while(|e| e.seq < seq).any(|e| {
+            (e.inst.is_control() && e.status != Status::Done)
+                || (e.inst.is_load() && (e.status == Status::Waiting || e.faulting))
+        })
+    }
+
+    fn has_older_pending_fence_scan(&self, seq: u64) -> bool {
+        self.rob
+            .iter()
+            .take_while(|e| e.seq < seq)
+            .any(|e| matches!(e.inst, Inst::Fence) && e.status != Status::Done)
+    }
+
+    fn has_older_unknown_store_scan(&self, seq: u64) -> bool {
+        self.sq
+            .iter()
+            .flatten()
+            .any(|s| s.seq < seq && s.addr.is_none())
+    }
+
+    /// Seqs of the entries whose execution is due at `now`, oldest first.
+    fn due_scan(&self, now: Cycle) -> Vec<u64> {
+        self.rob
+            .iter()
+            .filter(|e| matches!(e.status, Status::Issued { done_at } if done_at <= now))
+            .map(|e| e.seq)
+            .collect()
+    }
+
+    /// Checks every derived structure against the ROB it summarises.
+    fn check_derived_state(&self) {
+        let head = self.head_seq();
+        let queued: BTreeSet<(Cycle, u64)> = self.completions.iter().map(|r| r.0).collect();
+        for (i, e) in self.rob.iter().enumerate() {
+            assert_eq!(e.seq, head + i as u64, "seqs are dense in the ROB");
+            if let Status::Issued { done_at } = e.status {
+                assert!(
+                    queued.contains(&(done_at, e.seq)),
+                    "issued seq {} missing from the completion queue",
+                    e.seq
+                );
+            }
+        }
+        assert_eq!(
+            self.mispredict, None,
+            "mispredict register outlived its squash"
+        );
+        let waiting: Vec<u64> = self
+            .rob
+            .iter()
+            .filter(|e| e.status == Status::Waiting)
+            .map(|e| e.seq)
+            .collect();
+        let listed: Vec<u64> = self.waiting.iter().map(|w| w.seq).collect();
+        assert_eq!(listed, waiting, "waiting list");
+        for w in &self.waiting {
+            let e = &self.rob[(w.seq - head) as usize];
+            assert_eq!(w.store, matches!(e.inst, Inst::Store { .. }));
+            assert!(
+                w.blocked_on == 0 || e.srcs.contains(&Some(Src::Wait(w.blocked_on))),
+                "seq {} blocked on {}, not one of its producers",
+                w.seq,
+                w.blocked_on
+            );
+        }
+        let sources: BTreeSet<u64> = self
+            .rob
+            .iter()
+            .filter(|e| {
+                (e.inst.is_control() && e.status != Status::Done)
+                    || (e.inst.is_load() && (e.status == Status::Waiting || e.faulting))
+            })
+            .map(|e| e.seq)
+            .collect();
+        assert_eq!(self.squash_sources, sources, "squash sources");
+        let fences: BTreeSet<u64> = self
+            .rob
+            .iter()
+            .filter(|e| matches!(e.inst, Inst::Fence) && e.status != Status::Done)
+            .map(|e| e.seq)
+            .collect();
+        assert_eq!(self.pending_fences, fences, "pending fences");
+        for (li, slot) in self.lq.iter().enumerate() {
+            let awaiting = slot.is_some_and(|l| {
+                matches!(
+                    l.state,
+                    LqState::Done {
+                        line: Some(_),
+                        visible_done: false,
+                        ..
+                    }
+                )
+            });
+            assert_eq!(
+                self.awaiting_visibility[li], awaiting,
+                "LQ slot {li} awaiting visibility"
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1614,8 +1884,21 @@ mod tests {
     use cleanupspec_mem::hierarchy::{LoadReq, MemConfig};
 
     /// Minimal pass-through scheme used to unit-test the pipeline alone.
+    /// It records every load it is asked to issue.
     #[derive(Clone, Debug)]
-    struct Plain;
+    struct Plain {
+        policy: LoadIssuePolicy,
+        issued: Vec<LoadIssue>,
+    }
+
+    impl Plain {
+        fn new(policy: LoadIssuePolicy) -> Self {
+            Plain {
+                policy,
+                issued: Vec::new(),
+            }
+        }
+    }
 
     impl SpeculationScheme for Plain {
         fn name(&self) -> &'static str {
@@ -1624,11 +1907,15 @@ mod tests {
         fn boxed_clone(&self) -> Box<dyn SpeculationScheme> {
             Box::new(self.clone())
         }
+        fn issue_policy(&self) -> LoadIssuePolicy {
+            self.policy
+        }
         fn issue_load(
             &mut self,
             mem: &mut MemHierarchy,
             req: LoadIssue,
         ) -> Result<cleanupspec_mem::hierarchy::LoadOutcome, SimError> {
+            self.issued.push(req);
             mem.load(req.core, req.line, req.now, LoadReq::non_spec(LoadId(0)))
         }
         fn commit_load(
@@ -1659,18 +1946,25 @@ mod tests {
     }
 
     fn run_program(p: crate::isa::Program, max_cycles: Cycle) -> (Pipeline, MemHierarchy) {
+        run_with(p, max_cycles, &mut Plain::new(LoadIssuePolicy::Speculative))
+    }
+
+    fn run_with(
+        p: crate::isa::Program,
+        max_cycles: Cycle,
+        scheme: &mut dyn SpeculationScheme,
+    ) -> (Pipeline, MemHierarchy) {
         let mut mem = MemHierarchy::new(MemConfig::default());
         let mut dmem = DataMem::new();
         for (a, v) in &p.init_mem {
             dmem.write(*a, *v);
         }
         let mut pipe = Pipeline::new(CoreId(0), CoreConfig::default(), Arc::new(p));
-        let mut scheme = Plain;
         let mut now = 0;
         while !pipe.halted() && now < max_cycles {
             now += 1;
             mem.advance(now);
-            pipe.tick(&mut scheme, &mut mem, &mut dmem, now);
+            pipe.tick(scheme, &mut mem, &mut dmem, now);
         }
         // Drain outstanding fills (e.g. orphaned wrong-path misses).
         mem.advance(now + 1_000);
@@ -1819,5 +2113,131 @@ mod tests {
         let (pipe, _) = run_program(b.build(), 2000);
         let s = pipe.stats();
         assert!(s.squashed_loads() >= 1, "wrong-path loads recorded");
+    }
+
+    /// Appends `n` dependent `dst = (src | dst) * 1` multiplies: `dst`
+    /// ends equal to `src`, no earlier than `3 * n` cycles after the first
+    /// one issues.
+    fn mul_chain(b: &mut ProgramBuilder, dst: Reg, src: Reg, n: usize) {
+        b.alu(dst, AluOp::Mul, Operand::Reg(src), Operand::Imm(1));
+        for _ in 1..n {
+            b.alu(dst, AluOp::Mul, Operand::Reg(dst), Operand::Imm(1));
+        }
+    }
+
+    #[test]
+    fn load_waits_for_older_store_address() {
+        // The store's base comes out of an 18-cycle Mul chain; both loads
+        // have their bases at dispatch. The load of the stored word must
+        // take the store's value, and the other load must not issue before
+        // the store has resolved its address.
+        let mut b = ProgramBuilder::new("disambiguation");
+        b.movi(Reg(1), 0x4000);
+        b.movi(Reg(2), 99);
+        b.movi(Reg(5), 0x4000);
+        b.movi(Reg(6), 0x5000);
+        mul_chain(&mut b, Reg(3), Reg(1), 6);
+        b.store(Reg(2), Reg(3), 0);
+        b.load(Reg(4), Reg(5), 0);
+        b.load(Reg(7), Reg(6), 0);
+        b.halt();
+        b.init_mem(Addr::new(0x4000), 7);
+        b.init_mem(Addr::new(0x5000), 8);
+        let mut plain = Plain::new(LoadIssuePolicy::Speculative);
+        let (pipe, _) = run_with(b.build(), 2000, &mut plain);
+        assert!(pipe.halted());
+        assert_eq!(pipe.reg(Reg(4)), 99, "the load sees the older store");
+        assert_eq!(pipe.reg(Reg(7)), 8);
+        assert_eq!(pipe.stats().forwarded_loads, 1);
+        let lines: Vec<LineAddr> = plain.issued.iter().map(|r| r.line).collect();
+        assert_eq!(lines, [Addr::new(0x5000).line()], "one load went to memory");
+        assert!(
+            plain.issued[0].now >= 18,
+            "load issued at cycle {} past a store with an unknown address",
+            plain.issued[0].now
+        );
+    }
+
+    /// A correctly predicted not-taken branch followed by one load. With
+    /// `slow_branch` the branch waits on an 18-cycle Mul chain and the
+    /// load's base is ready; otherwise the branch resolves at once and the
+    /// load's base waits on the chain.
+    fn branch_then_load(slow_branch: bool) -> crate::isa::Program {
+        let mut b = ProgramBuilder::new("branch-load");
+        b.movi(Reg(1), 0);
+        b.movi(Reg(2), 0x6000);
+        let br = if slow_branch {
+            mul_chain(&mut b, Reg(3), Reg(1), 6);
+            let br = b.branch(Reg(3), BranchCond::NotZero, 0);
+            b.load(Reg(4), Reg(2), 0);
+            br
+        } else {
+            mul_chain(&mut b, Reg(3), Reg(2), 6);
+            let br = b.branch(Reg(1), BranchCond::NotZero, 0);
+            b.load(Reg(4), Reg(3), 0);
+            br
+        };
+        let t = b.here();
+        b.patch_branch(br, t);
+        b.halt();
+        b.build()
+    }
+
+    #[test]
+    fn load_is_spec_exactly_while_an_older_branch_is_unresolved() {
+        for (slow_branch, expect_spec) in [(true, true), (false, false)] {
+            let mut plain = Plain::new(LoadIssuePolicy::Speculative);
+            let (pipe, _) = run_with(branch_then_load(slow_branch), 2000, &mut plain);
+            assert!(pipe.halted());
+            assert_eq!(pipe.stats().squashes, 0, "the branch is predicted right");
+            assert_eq!(plain.issued.len(), 1);
+            assert_eq!(
+                plain.issued[0].is_spec, expect_spec,
+                "slow_branch = {slow_branch}: load issued at cycle {}",
+                plain.issued[0].now
+            );
+        }
+    }
+
+    #[test]
+    fn when_unsquashable_policy_holds_load_until_branch_resolves() {
+        let mut eager = Plain::new(LoadIssuePolicy::Speculative);
+        run_with(branch_then_load(true), 2000, &mut eager);
+        let mut held = Plain::new(LoadIssuePolicy::WhenUnsquashable);
+        let (pipe, _) = run_with(branch_then_load(true), 2000, &mut held);
+        assert!(pipe.halted());
+        assert_eq!(held.issued.len(), 1);
+        assert!(!held.issued[0].is_spec, "held loads issue unsquashable");
+        assert!(
+            held.issued[0].now >= 18 && held.issued[0].now > eager.issued[0].now,
+            "held load issued at cycle {} (speculative: {})",
+            held.issued[0].now,
+            eager.issued[0].now
+        );
+    }
+
+    #[test]
+    fn oldest_of_two_same_cycle_mispredicts_squashes_once() {
+        // Both branches are taken but predicted not-taken, and both wait on
+        // the same register, so they resolve in the same cycle; the younger
+        // sits on the older's wrong path.
+        let mut b = ProgramBuilder::new("two-mispredicts");
+        b.movi(Reg(1), 1);
+        mul_chain(&mut b, Reg(3), Reg(1), 3);
+        let b1 = b.branch(Reg(3), BranchCond::NotZero, 0);
+        let b2 = b.branch(Reg(3), BranchCond::NotZero, 0);
+        b.halt();
+        let t = b.here();
+        b.patch_branch(b1, t);
+        b.patch_branch(b2, t);
+        b.movi(Reg(2), 7);
+        b.halt();
+        let (pipe, _) = run_program(b.build(), 2000);
+        assert!(pipe.halted());
+        assert_eq!(pipe.reg(Reg(2)), 7);
+        let s = pipe.stats();
+        assert_eq!(s.mispredicts, 2, "both branches resolved mispredicted");
+        assert_eq!(s.squashes, 1, "only the oldest squashes");
+        assert_eq!(s.committed_branches, 1);
     }
 }

@@ -850,13 +850,28 @@ impl MemHierarchy {
         self.now_hint = now;
         for ci in 0..self.cfg.num_cores {
             self.mshr[ci].stamp(now);
-            // Collect due slots first to avoid borrowing issues.
-            let due: Vec<(usize, MshrEntry)> = self.mshr[ci]
-                .iter_mut_indexed()
-                .filter(|(_, e)| e.complete_at <= now && e.state != MshrState::Filled)
-                .map(|(i, e)| (i, e.clone()))
-                .collect();
-            for (slot, entry) in due {
+            if self.mshr[ci].next_due() > now {
+                #[cfg(debug_assertions)]
+                debug_assert_eq!(self.due_slots_scan(ci, now), [], "MSHR earliest-due bound");
+                continue;
+            }
+            #[cfg(debug_assertions)]
+            let (expect, mut visited) = (self.due_slots_scan(ci, now), Vec::new());
+            // A fill changes only its own slot (and cache state), so the
+            // slots can be visited live, in index order.
+            let mut next_due = Cycle::MAX;
+            for slot in 0..self.mshr[ci].capacity() {
+                let entry = match self.mshr[ci].slot(slot) {
+                    Some(e) if e.state == MshrState::Filled => continue,
+                    Some(e) if e.complete_at > now => {
+                        next_due = next_due.min(e.complete_at);
+                        continue;
+                    }
+                    Some(e) => e.clone(),
+                    None => continue,
+                };
+                #[cfg(debug_assertions)]
+                visited.push(slot);
                 match entry.state {
                     MshrState::Dropped => {
                         // Squashed inflight load: data returns, nothing
@@ -896,17 +911,30 @@ impl MemHierarchy {
                                 },
                             );
                             self.mshr[ci].clear_slot(slot);
-                        } else if let Some(e) =
-                            self.mshr[ci].iter_mut_indexed().find(|(i, _)| *i == slot)
-                        {
-                            e.1.record = rec;
-                            e.1.state = MshrState::Filled;
+                        } else {
+                            self.mshr[ci].mark_filled(slot, rec);
                         }
                     }
-                    MshrState::Filled => unreachable!("filtered above"),
+                    MshrState::Filled => unreachable!("skipped above"),
                 }
             }
+            self.mshr[ci].set_next_due(next_due);
+            #[cfg(debug_assertions)]
+            debug_assert_eq!(visited, expect, "MSHR fill pass");
         }
+    }
+
+    /// Slots of core `ci`'s MSHR entries due at `now`, by a full scan (the
+    /// debug oracle for the fill pass and its earliest-due bound).
+    #[cfg(debug_assertions)]
+    fn due_slots_scan(&self, ci: usize, now: Cycle) -> Vec<usize> {
+        let file = &self.mshr[ci];
+        (0..file.capacity())
+            .filter(|&i| {
+                file.slot(i)
+                    .is_some_and(|e| e.complete_at <= now && e.state != MshrState::Filled)
+            })
+            .collect()
     }
 
     /// Performs the installs for a completed miss. Returns the SEFE record.

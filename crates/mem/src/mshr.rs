@@ -143,6 +143,12 @@ pub struct MshrToken {
 pub struct MshrFile {
     core: CoreId,
     slots: Vec<Option<MshrEntry>>,
+    /// Lower bound on the `complete_at` of every entry the fill pass still
+    /// has to visit (any entry not `Filled`); `Cycle::MAX` when there is
+    /// none. It must stay conservative: `alloc` lowers it, handing out an
+    /// entry by `&mut` resets it to 0 (the caller may rewrite
+    /// `complete_at` or `state`), and only the fill pass raises it.
+    next_due: Cycle,
     gen: u64,
     high_water: usize,
     obs: Observer,
@@ -170,6 +176,7 @@ impl MshrFile {
         MshrFile {
             core,
             slots: (0..capacity).map(|_| None).collect(),
+            next_due: Cycle::MAX,
             gen: 0,
             high_water: 0,
             obs: Observer::disabled(),
@@ -206,6 +213,7 @@ impl MshrFile {
             gen: self.gen,
         };
         let (line, is_spec) = (entry.line, entry.is_spec);
+        self.next_due = self.next_due.min(entry.complete_at);
         self.slots[idx] = Some(MshrEntry {
             gen: self.gen,
             ..entry
@@ -231,6 +239,7 @@ impl MshrFile {
 
     /// Mutable lookup by token.
     pub fn get_mut(&mut self, token: MshrToken) -> Option<&mut MshrEntry> {
+        self.next_due = 0;
         self.slots
             .get_mut(token.idx)?
             .as_mut()
@@ -267,12 +276,45 @@ impl MshrFile {
         self.slots.iter().flatten()
     }
 
-    /// Iterates mutably with slot indices (for the hierarchy's fill pass).
+    /// Iterates mutably with slot indices.
     pub fn iter_mut_indexed(&mut self) -> impl Iterator<Item = (usize, &mut MshrEntry)> {
+        self.next_due = 0;
         self.slots
             .iter_mut()
             .enumerate()
             .filter_map(|(i, s)| s.as_mut().map(|e| (i, e)))
+    }
+
+    /// The earliest cycle at which the fill pass can find an entry due; no
+    /// entry is due before it.
+    pub(crate) fn next_due(&self) -> Cycle {
+        self.next_due
+    }
+
+    /// Number of slots (live or free).
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The entry in slot `idx`, if live.
+    pub(crate) fn slot(&self, idx: usize) -> Option<&MshrEntry> {
+        self.slots[idx].as_ref()
+    }
+
+    /// Sets the earliest-due bound. Only the fill pass calls this, right
+    /// after visiting every slot: it passes the minimum `complete_at` over
+    /// the entries it left neither `Filled` nor freed.
+    pub(crate) fn set_next_due(&mut self, at: Cycle) {
+        self.next_due = at;
+    }
+
+    /// Stores the SEFE record of the fill performed for slot `idx`.
+    pub(crate) fn mark_filled(&mut self, idx: usize, record: SefeRecord) {
+        let e = self.slots[idx]
+            .as_mut()
+            .expect("fill pass visits live slots");
+        e.record = record;
+        e.state = MshrState::Filled;
     }
 
     /// Removes the entry in `idx` (used by the fill pass after dropping).
