@@ -350,9 +350,7 @@ fn extract_run(
     audit: &Shared<LeakageAuditSink>,
     episodes: &Shared<EpisodeBuilder>,
 ) -> ModeRun {
-    for _ in 0..DRAIN_CYCLES {
-        sys.tick_mem_only();
-    }
+    sys.tick_mem_only_until(sys.now() + DRAIN_CYCLES);
 
     let n = sys.mem().config().num_cores;
     let scheme_name = sys.scheme(0).name();

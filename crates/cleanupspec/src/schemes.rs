@@ -128,7 +128,6 @@ impl SpeculationScheme for NonSecure {
                 spec: false, // no tagging: nothing is ever undone
                 allow_downgrade: true,
                 kind: LoadKind::Demand,
-                tag_spec_install: false,
             },
         )
     }
@@ -325,7 +324,6 @@ impl SpeculationScheme for CleanupSpec {
                 // lines (Section 3.5).
                 allow_downgrade: !req.is_spec,
                 kind: LoadKind::Demand,
-                tag_spec_install: req.is_spec,
             },
         )
     }
@@ -503,7 +501,6 @@ impl InvisiSpec {
                 spec: false,
                 allow_downgrade: true,
                 kind: LoadKind::Expose,
-                tag_spec_install: false,
             },
         ) {
             Ok(out) => (out.complete_at, out.path),
@@ -545,7 +542,6 @@ impl SpeculationScheme for InvisiSpec {
                 spec: false,
                 allow_downgrade: true,
                 kind,
-                tag_spec_install: false,
             },
         )
     }

@@ -293,9 +293,7 @@ impl Simulator {
                 Err(_) => self.sys.tick_mem_only(), // MSHRs busy: wait
             }
         };
-        while self.sys.now() < out.complete_at {
-            self.sys.tick_mem_only();
-        }
+        self.sys.tick_mem_only_until(out.complete_at);
         if let Some(t) = out.token {
             let _ = self.sys.mem_mut().collect(t);
         }
@@ -307,18 +305,13 @@ impl Simulator {
     pub fn flush_line(&mut self, core: CoreId, addr: Addr) {
         let now = self.sys.now();
         let out = self.sys.mem_mut().clflush(core, addr.line(), now);
-        while self.sys.now() < out.complete_at {
-            self.sys.tick_mem_only();
-        }
+        self.sys.tick_mem_only_until(out.complete_at);
     }
 
     /// Advances simulated time by `cycles` (lets pending fills land, e.g.
     /// after a program finished).
     pub fn drain(&mut self, cycles: Cycle) {
-        let target = self.sys.now() + cycles;
-        while self.sys.now() < target {
-            self.sys.tick_mem_only();
-        }
+        self.sys.tick_mem_only_until(self.sys.now() + cycles);
     }
 
     // ------------------------------------------------------------------

@@ -23,7 +23,7 @@ use cleanupspec_mem::hierarchy::{MemHierarchy, MissProvenance};
 use cleanupspec_mem::mshr::{LoadPath, MshrToken, SefeRecord};
 use cleanupspec_mem::stats::MsgClass;
 use cleanupspec_mem::types::{Addr, CoreId, Cycle, LineAddr, LoadId};
-use cleanupspec_obs::{Observer, PathKind, SimEvent};
+use cleanupspec_obs::{EventMask, Observer, PathKind, SimEvent};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Arc;
@@ -433,12 +433,12 @@ impl Pipeline {
         self.stats.cpi_stack.charge(cause);
     }
 
-    /// Charges one cycle to the `Harness` bucket: the system runner calls
+    /// Charges `n` cycles to the `Harness` bucket: the system runner calls
     /// this for cycles it advances without ticking the cores (priming,
     /// probing, and draining phases), keeping the CPI-stack total equal to
     /// elapsed cycles.
-    pub fn note_harness_cycle(&mut self) {
-        self.stats.cpi_stack.charge(StallCause::Harness);
+    pub fn note_harness_cycles(&mut self, n: u64) {
+        self.stats.cpi_stack.charge_n(StallCause::Harness, n);
     }
 
     /// Attributes one committless cycle to the single dominant cause, in
@@ -960,7 +960,8 @@ impl Pipeline {
             let mut entry = self.rob.front().expect("checked").clone();
             // Capture the load's line for the commit event before the LQ
             // slot is freed below.
-            let committed_line = if self.obs.is_enabled() {
+            const COMMIT: EventMask = EventMask::from_kinds(&["commit"]);
+            let committed_line = if self.obs.wants(COMMIT) {
                 entry
                     .lq
                     .and_then(|li| self.lq[li])

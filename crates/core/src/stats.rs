@@ -153,6 +153,12 @@ impl CpiStack {
         self.counts[cause.index()] += 1;
     }
 
+    /// Charges `n` cycles to `cause`.
+    #[inline]
+    pub fn charge_n(&mut self, cause: StallCause, n: u64) {
+        self.counts[cause.index()] += n;
+    }
+
     /// Cycles charged to `cause`.
     pub fn get(&self, cause: StallCause) -> u64 {
         self.counts[cause.index()]

@@ -247,15 +247,32 @@ impl System {
     }
 
     /// Advances time and the memory system by one cycle WITHOUT ticking
-    /// the cores. Harness phases (priming, probing, draining) use this so
-    /// that measurement does not perturb the victim programs. The skipped
-    /// core cycles are charged to the CPI stack's `Harness` bucket so the
-    /// per-core stack still sums to elapsed cycles.
+    /// the cores; the one-cycle case of [`Self::tick_mem_only_until`].
     pub fn tick_mem_only(&mut self) {
-        self.now += 1;
-        self.mem.advance(self.now);
+        self.tick_mem_only_until(self.now + 1);
+    }
+
+    /// Advances time and the memory system to cycle `target` (no-op if
+    /// already there) WITHOUT ticking the cores. Harness phases (priming,
+    /// probing, draining) use this so that measurement does not perturb
+    /// the victim programs. The skipped core cycles are charged to the CPI
+    /// stack's `Harness` bucket so the per-core stack still sums to
+    /// elapsed cycles.
+    ///
+    /// The result equals stepping one cycle at a time: the hierarchy is
+    /// advanced only at cycles at or after its [`MemHierarchy::next_due`]
+    /// bound (before it, `advance` has nothing to do), and at `target`
+    /// itself so its cycle stamp ends where per-cycle stepping leaves it.
+    pub fn tick_mem_only_until(&mut self, target: Cycle) {
+        let Some(n) = target.checked_sub(self.now).filter(|&n| n > 0) else {
+            return;
+        };
+        while self.now < target {
+            self.now = self.mem.next_due().clamp(self.now + 1, target);
+            self.mem.advance(self.now);
+        }
         for c in &mut self.cores {
-            c.note_harness_cycle();
+            c.note_harness_cycles(n);
         }
         // Harness phases (priming, probing, draining) are deliberate idle
         // time, not a livelock: keep the watchdog gap closed.

@@ -190,8 +190,6 @@ pub struct LoadReq {
     pub allow_downgrade: bool,
     /// Access kind.
     pub kind: LoadKind,
-    /// Tag installs for speculation-window protection.
-    pub tag_spec_install: bool,
 }
 
 impl LoadReq {
@@ -202,7 +200,6 @@ impl LoadReq {
             spec: false,
             allow_downgrade: true,
             kind: LoadKind::Demand,
-            tag_spec_install: false,
         }
     }
 }
@@ -483,6 +480,17 @@ impl MemHierarchy {
     /// Read-only view of the L2.
     pub fn l2(&self) -> &SetAssocCache {
         &self.l2
+    }
+
+    /// A lower bound on the next cycle at which [`Self::advance`] has work:
+    /// no MSHR entry of any core is due before it. `Cycle::MAX` when no
+    /// entry is waiting; 0 when some file must be scanned to know.
+    pub fn next_due(&self) -> Cycle {
+        self.mshr
+            .iter()
+            .map(MshrFile::next_due)
+            .min()
+            .unwrap_or(Cycle::MAX)
     }
 
     /// Per-core MSHR occupancy (diagnostics).
@@ -774,12 +782,6 @@ impl MemHierarchy {
             self.stats
                 .sefe_occupancy
                 .record(self.mshr[ci].spec_occupancy() as u64);
-        }
-        // Stamp whether this fill should carry a window-protection tag.
-        if req.tag_spec_install && req.spec {
-            // Encoded via is_spec + the scheme's tagging choice: we reuse
-            // is_spec for the fill pass; tagging is suppressed for
-            // non-speculative loads above.
         }
         self.stats.count_provenance(provenance);
         Ok(LoadOutcome {
@@ -1629,7 +1631,6 @@ mod tests {
             spec: true,
             allow_downgrade: true,
             kind: LoadKind::Demand,
-            tag_spec_install: true,
         }
     }
 

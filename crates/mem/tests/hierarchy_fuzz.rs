@@ -111,7 +111,6 @@ fn apply(mem: &mut MemHierarchy, now: &mut Cycle, load_seq: &mut u64, o: Op) {
                     spec,
                     allow_downgrade: downgrade || !spec,
                     kind: LoadKind::Demand,
-                    tag_spec_install: spec,
                 },
             );
         }

@@ -21,7 +21,7 @@
 //! orphan fills landing cycles after the squash (the classic insecure-
 //! mode leak — drain the simulation before asking!) are still caught.
 
-use crate::event::{CacheLevel, SimEvent};
+use crate::event::{CacheLevel, EventMask, SimEvent};
 use crate::observer::EventSink;
 use std::collections::HashMap;
 
@@ -108,7 +108,7 @@ pub struct AuditResidue {
 }
 
 /// The audit's verdict over a whole run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AuditReport {
     /// Squash events observed.
     pub squashes: u64,
@@ -165,6 +165,23 @@ pub struct LeakageAuditSink {
 }
 
 impl LeakageAuditSink {
+    /// The kinds [`EventSink::record`] reads: one per `match` arm.
+    pub const INTEREST: &'static [&'static str] = &[
+        "load-issue",
+        "fill",
+        "orphan-fill",
+        "evict",
+        "back-inval",
+        "clflush",
+        "squash",
+        "squashed-load",
+        "commit",
+        "cleanup-inval",
+        "cleanup-restore",
+        "spec-retire",
+        "downgrade",
+    ];
+
     /// An empty audit.
     pub fn new() -> Self {
         LeakageAuditSink::default()
@@ -229,6 +246,11 @@ impl LeakageAuditSink {
 }
 
 impl EventSink for LeakageAuditSink {
+    fn interest(&self) -> EventMask {
+        const MASK: EventMask = EventMask::from_kinds(LeakageAuditSink::INTEREST);
+        MASK
+    }
+
     fn record(&mut self, _cycle: u64, event: &SimEvent) {
         match *event {
             SimEvent::LoadIssue {

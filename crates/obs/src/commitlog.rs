@@ -6,7 +6,7 @@
 //! reference interpreter: schemes may reorder *execution* freely, but the
 //! committed stream is architecture and must be identical everywhere.
 
-use crate::event::SimEvent;
+use crate::event::{EventMask, SimEvent};
 use crate::observer::EventSink;
 
 /// One committed instruction: its PC and, for loads, the accessed line.
@@ -27,6 +27,9 @@ pub struct CommitLogSink {
 }
 
 impl CommitLogSink {
+    /// The kinds [`EventSink::record`] reads.
+    pub const INTEREST: &'static [&'static str] = &["commit"];
+
     /// An empty log; per-core streams appear as cores commit.
     pub fn new() -> Self {
         CommitLogSink::default()
@@ -56,6 +59,11 @@ impl CommitLogSink {
 }
 
 impl EventSink for CommitLogSink {
+    fn interest(&self) -> EventMask {
+        const MASK: EventMask = EventMask::from_kinds(CommitLogSink::INTEREST);
+        MASK
+    }
+
     fn record(&mut self, _cycle: u64, event: &SimEvent) {
         if let SimEvent::Commit { core, pc, line, .. } = event {
             if self.streams.len() <= *core {

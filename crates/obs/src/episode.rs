@@ -21,7 +21,7 @@
 //! [`crate::audit::LeakageAuditSink`] reports globally, but pinned to the
 //! squash that leaked them.
 
-use crate::event::{CacheLevel, SimEvent};
+use crate::event::{CacheLevel, EventMask, SimEvent};
 use crate::observer::EventSink;
 use std::collections::HashMap;
 
@@ -275,6 +275,31 @@ pub struct EpisodeBuilder {
 }
 
 impl EpisodeBuilder {
+    /// The kinds [`EventSink::record`] reads: one per `match` arm.
+    pub const INTEREST: &'static [&'static str] = &[
+        "squash",
+        "squashed-load",
+        "cleanup-start",
+        "cleanup-end",
+        "cleanup-inval",
+        "cleanup-restore",
+        "dropped-fill",
+        "epoch-bump",
+        "dummy-miss",
+        "load-issue",
+        "fill",
+        "orphan-fill",
+        "evict",
+        "back-inval",
+        "clflush",
+        "commit",
+        "spec-retire",
+        "downgrade",
+        "mshr-alloc",
+        "mshr-retire",
+        "snapshot-restored",
+    ];
+
     /// An empty builder.
     pub fn new() -> Self {
         EpisodeBuilder::default()
@@ -358,6 +383,11 @@ impl EpisodeBuilder {
 }
 
 impl EventSink for EpisodeBuilder {
+    fn interest(&self) -> EventMask {
+        const MASK: EventMask = EventMask::from_kinds(EpisodeBuilder::INTEREST);
+        MASK
+    }
+
     fn record(&mut self, cycle: u64, event: &SimEvent) {
         match *event {
             SimEvent::Squash {

@@ -470,6 +470,89 @@ pub enum SimEvent {
     },
 }
 
+/// A set of event kinds: bit `i` stands for `SimEvent::KINDS[i]`.
+///
+/// Sinks declare the kinds their `record` reads through
+/// `EventSink::interest`, and the observer delivers nothing else.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+pub struct EventMask(u64);
+
+impl EventMask {
+    /// Every kind.
+    pub const ALL: EventMask = EventMask((1 << SimEvent::KINDS.len()) - 1);
+    /// No kind.
+    pub const NONE: EventMask = EventMask(0);
+
+    /// The kinds named in `names`.
+    ///
+    /// # Panics
+    /// Panics on a name that is not in [`SimEvent::KINDS`]; in a `const`
+    /// item that is a compile error.
+    pub const fn from_kinds(names: &[&str]) -> EventMask {
+        let mut bits = 0;
+        let mut i = 0;
+        while i < names.len() {
+            match kind_position(names[i]) {
+                Some(k) => bits |= 1 << k,
+                None => panic!("unknown event kind in EventMask::from_kinds"),
+            }
+            i += 1;
+        }
+        EventMask(bits)
+    }
+
+    /// Whether `event`'s kind is in the set.
+    #[inline]
+    pub fn wants(self, event: &SimEvent) -> bool {
+        self.0 & event.kind_bit() != 0
+    }
+
+    /// Whether the two sets share a kind.
+    #[inline]
+    pub fn intersects(self, other: EventMask) -> bool {
+        self.0 & other.0 != 0
+    }
+
+    /// The kinds in either set.
+    #[must_use]
+    pub fn union(self, other: EventMask) -> EventMask {
+        EventMask(self.0 | other.0)
+    }
+
+    /// Number of kinds in the set.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+}
+
+/// Index of `name` in [`SimEvent::KINDS`] (a `const fn`, so masks built
+/// from literal names are checked at compile time).
+const fn kind_position(name: &str) -> Option<usize> {
+    let name = name.as_bytes();
+    let mut k = 0;
+    'kinds: while k < SimEvent::KINDS.len() {
+        let cand = SimEvent::KINDS[k].as_bytes();
+        k += 1;
+        if cand.len() != name.len() {
+            continue;
+        }
+        let mut i = 0;
+        while i < cand.len() {
+            if cand[i] != name[i] {
+                continue 'kinds;
+            }
+            i += 1;
+        }
+        return Some(k - 1);
+    }
+    None
+}
+
 /// A single typed field of an event, for generic rendering.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FieldValue {
@@ -521,39 +604,50 @@ impl SimEvent {
 
     /// Stable kebab-case event name.
     pub fn kind(&self) -> &'static str {
+        Self::KINDS[self.kind_index()]
+    }
+
+    /// Position of [`Self::kind`] in [`Self::KINDS`].
+    pub fn kind_index(&self) -> usize {
         match self {
-            SimEvent::Dispatch { .. } => "dispatch",
-            SimEvent::LoadIssue { .. } => "load-issue",
-            SimEvent::Commit { .. } => "commit",
-            SimEvent::Squash { .. } => "squash",
-            SimEvent::SquashedLoad { .. } => "squashed-load",
-            SimEvent::Fault { .. } => "fault",
-            SimEvent::CleanupStart { .. } => "cleanup-start",
-            SimEvent::CleanupEnd { .. } => "cleanup-end",
-            SimEvent::Fill { .. } => "fill",
-            SimEvent::Evict { .. } => "evict",
-            SimEvent::BackInval { .. } => "back-inval",
-            SimEvent::Clflush { .. } => "clflush",
-            SimEvent::DummyMiss { .. } => "dummy-miss",
-            SimEvent::GetsSafeDefer { .. } => "gets-safe-defer",
-            SimEvent::Downgrade { .. } => "downgrade",
-            SimEvent::Livelock { .. } => "livelock",
-            SimEvent::SnapshotTaken { .. } => "snapshot-taken",
-            SimEvent::SnapshotRestored { .. } => "snapshot-restored",
-            SimEvent::MshrAlloc { .. } => "mshr-alloc",
-            SimEvent::MshrRetire { .. } => "mshr-retire",
-            SimEvent::MshrDrop { .. } => "mshr-drop",
-            SimEvent::SefeOverflow { .. } => "sefe-overflow",
-            SimEvent::DroppedFill { .. } => "dropped-fill",
-            SimEvent::OrphanFill { .. } => "orphan-fill",
-            SimEvent::CleanupInval { .. } => "cleanup-inval",
-            SimEvent::CleanupRestore { .. } => "cleanup-restore",
-            SimEvent::EpochBump { .. } => "epoch-bump",
-            SimEvent::SpecRetire { .. } => "spec-retire",
-            SimEvent::CeaserRemap { .. } => "ceaser-remap",
-            SimEvent::DramRead { .. } => "dram-read",
-            SimEvent::DramWriteback { .. } => "dram-writeback",
+            SimEvent::Dispatch { .. } => 0,
+            SimEvent::LoadIssue { .. } => 1,
+            SimEvent::Commit { .. } => 2,
+            SimEvent::Squash { .. } => 3,
+            SimEvent::SquashedLoad { .. } => 4,
+            SimEvent::Fault { .. } => 5,
+            SimEvent::CleanupStart { .. } => 6,
+            SimEvent::CleanupEnd { .. } => 7,
+            SimEvent::Fill { .. } => 8,
+            SimEvent::Evict { .. } => 9,
+            SimEvent::BackInval { .. } => 10,
+            SimEvent::Clflush { .. } => 11,
+            SimEvent::DummyMiss { .. } => 12,
+            SimEvent::GetsSafeDefer { .. } => 13,
+            SimEvent::Downgrade { .. } => 14,
+            SimEvent::Livelock { .. } => 15,
+            SimEvent::SnapshotTaken { .. } => 16,
+            SimEvent::SnapshotRestored { .. } => 17,
+            SimEvent::MshrAlloc { .. } => 18,
+            SimEvent::MshrRetire { .. } => 19,
+            SimEvent::MshrDrop { .. } => 20,
+            SimEvent::SefeOverflow { .. } => 21,
+            SimEvent::DroppedFill { .. } => 22,
+            SimEvent::OrphanFill { .. } => 23,
+            SimEvent::CleanupInval { .. } => 24,
+            SimEvent::CleanupRestore { .. } => 25,
+            SimEvent::EpochBump { .. } => 26,
+            SimEvent::SpecRetire { .. } => 27,
+            SimEvent::CeaserRemap { .. } => 28,
+            SimEvent::DramRead { .. } => 29,
+            SimEvent::DramWriteback { .. } => 30,
         }
+    }
+
+    /// This event's bit in an [`EventMask`].
+    #[inline]
+    pub fn kind_bit(&self) -> u64 {
+        1 << self.kind_index()
     }
 
     /// The layer that emits this event.
@@ -1223,6 +1317,37 @@ mod tests {
             from_samples, listed,
             "SimEvent::KINDS drifted from the actual kind() names"
         );
+    }
+
+    #[test]
+    fn kind_bit_matches_kind() {
+        for e in sample_events() {
+            let mask = EventMask::from_kinds(&[e.kind()]);
+            assert_eq!(mask.len(), 1);
+            assert!(mask.wants(&e), "{}", e.kind());
+            assert_eq!(e.kind_bit().trailing_zeros() as usize, e.kind_index());
+        }
+        assert_eq!(EventMask::ALL.len(), SimEvent::KINDS.len());
+        assert!(EventMask::NONE.is_empty());
+    }
+
+    #[test]
+    fn mask_construction_covers_kinds() {
+        assert_eq!(EventMask::from_kinds(&[]), EventMask::NONE);
+        assert_eq!(EventMask::from_kinds(&SimEvent::KINDS), EventMask::ALL);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown event kind")]
+    fn mask_construction_rejects_unknown_kinds() {
+        let names = ["commit", "comit"];
+        EventMask::from_kinds(&names);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown event kind")]
+    fn mask_construction_rejects_kind_prefixes() {
+        EventMask::from_kinds(&["commi"]);
     }
 
     #[test]

@@ -43,7 +43,9 @@ pub mod ring;
 pub use audit::{AuditReport, AuditResidue, LeakageAuditSink, ResidueKind};
 pub use commitlog::{CommitEntry, CommitLogSink};
 pub use episode::{EpisodeBuilder, EpisodeLeak, EpisodeRecord, EpisodeReport, LeakKind};
-pub use event::{CacheLevel, FieldValue, Layer, PathKind, SimEvent, EVENT_SCHEMA_VERSION};
+pub use event::{
+    CacheLevel, EventMask, FieldValue, Layer, PathKind, SimEvent, EVENT_SCHEMA_VERSION,
+};
 pub use histogram::Histogram;
 pub use json::{event_from_json, event_to_json, JsonWriter};
 pub use jsonl::JsonlSink;

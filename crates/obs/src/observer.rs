@@ -1,7 +1,7 @@
 //! The shared [`Observer`] handle instrumented code emits through, and the
 //! [`EventSink`] trait sinks implement.
 
-use crate::event::SimEvent;
+use crate::event::{EventMask, SimEvent};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -14,21 +14,32 @@ pub trait EventSink: Send {
     /// Consumes one event. `cycle` is the simulation cycle it occurred at.
     fn record(&mut self, cycle: u64, event: &SimEvent);
 
+    /// The event kinds `record` reads; the observer delivers no others.
+    /// Read once, when the sink is attached. Sinks that count, dump or
+    /// time every event must keep the default, all kinds.
+    fn interest(&self) -> EventMask {
+        EventMask::ALL
+    }
+
     /// Flushes buffered output. Called once when the run finishes.
     fn finish(&mut self) {}
 }
 
-/// The shared fan-out list behind an enabled [`Observer`].
-type SinkList = Arc<Mutex<Vec<Box<dyn EventSink>>>>;
+/// The shared fan-out list behind an enabled [`Observer`]: each sink
+/// with the interest it declared when attached.
+type SinkList = Arc<Mutex<Vec<(EventMask, Box<dyn EventSink>)>>>;
 
 /// A cloneable handle that fans events out to attached sinks.
 ///
 /// The disabled handle (no sinks, the default) costs one branch per
 /// emission site — the same contract as the pipeline's legacy
-/// `Option<TraceBuffer>` tracing.
+/// `Option<TraceBuffer>` tracing. So does an event no attached sink
+/// declared interest in: it is dropped before any lock is taken.
 #[derive(Clone, Default)]
 pub struct Observer {
     sinks: Option<SinkList>,
+    /// Union of the sinks' interests (empty when disabled).
+    interest: EventMask,
 }
 
 impl Observer {
@@ -40,11 +51,15 @@ impl Observer {
     /// A handle fanning out to `sinks` (disabled if the list is empty).
     pub fn new(sinks: Vec<Box<dyn EventSink>>) -> Self {
         if sinks.is_empty() {
-            Observer::disabled()
-        } else {
-            Observer {
-                sinks: Some(Arc::new(Mutex::new(sinks))),
-            }
+            return Observer::disabled();
+        }
+        let sinks: Vec<_> = sinks.into_iter().map(|s| (s.interest(), s)).collect();
+        let interest = sinks
+            .iter()
+            .fold(EventMask::NONE, |acc, &(m, _)| acc.union(m));
+        Observer {
+            sinks: Some(Arc::new(Mutex::new(sinks))),
+            interest,
         }
     }
 
@@ -60,13 +75,26 @@ impl Observer {
         self.sinks.is_some()
     }
 
-    /// Records `event` at `cycle` in every sink. No-op when disabled.
+    /// Whether some attached sink reads a kind in `kinds`. Use to guard
+    /// emission sites whose event construction is itself costly.
+    #[inline]
+    pub fn wants(&self, kinds: EventMask) -> bool {
+        self.interest.intersects(kinds)
+    }
+
+    /// Records `event` at `cycle` in every sink interested in its kind.
+    /// No-op when disabled.
     #[inline]
     pub fn emit(&self, cycle: u64, event: SimEvent) {
+        if !self.interest.wants(&event) {
+            return;
+        }
         if let Some(sinks) = &self.sinks {
             let mut sinks = sinks.lock().expect("observer sink poisoned");
-            for s in sinks.iter_mut() {
-                s.record(cycle, &event);
+            for (interest, s) in sinks.iter_mut() {
+                if interest.wants(&event) {
+                    s.record(cycle, &event);
+                }
             }
         }
     }
@@ -84,7 +112,7 @@ impl Observer {
     pub fn finish(&self) {
         if let Some(sinks) = &self.sinks {
             let mut sinks = sinks.lock().expect("observer sink poisoned");
-            for s in sinks.iter_mut() {
+            for (_, s) in sinks.iter_mut() {
                 s.finish();
             }
         }
@@ -143,6 +171,10 @@ impl<S: EventSink> EventSink for Shared<S> {
             .lock()
             .expect("shared sink poisoned")
             .record(cycle, event);
+    }
+
+    fn interest(&self) -> EventMask {
+        self.0.lock().expect("shared sink poisoned").interest()
     }
 
     fn finish(&mut self) {
@@ -211,6 +243,67 @@ mod tests {
     #[test]
     fn empty_sink_list_is_disabled() {
         assert!(!Observer::new(Vec::new()).is_enabled());
+    }
+
+    /// Counts the events it is handed, declaring interest in `mask`.
+    struct Picky {
+        mask: EventMask,
+        seen: Vec<&'static str>,
+    }
+    impl EventSink for Picky {
+        fn record(&mut self, _cycle: u64, event: &SimEvent) {
+            self.seen.push(event.kind());
+        }
+        fn interest(&self) -> EventMask {
+            self.mask
+        }
+    }
+
+    #[test]
+    fn delivery_is_filtered_by_interest() {
+        let writebacks = Shared::new(Picky {
+            mask: EventMask::from_kinds(&["dram-writeback"]),
+            seen: Vec::new(),
+        });
+        let all = Shared::new(Counting::default());
+        let obs = Observer::new(vec![Box::new(writebacks.clone()), Box::new(all.clone())]);
+        assert!(obs.wants(EventMask::from_kinds(&["dram-read"])));
+        obs.emit(0, SimEvent::DramWriteback { line: 0 });
+        obs.emit(1, SimEvent::DramRead { core: 0, line: 0 });
+        assert_eq!(writebacks.with(|s| s.seen.clone()), ["dram-writeback"]);
+        assert_eq!(all.with(|s| s.seen), 2);
+
+        let only = Observer::single(Box::new(writebacks.clone()));
+        assert!(only.wants(EventMask::from_kinds(&["dram-writeback", "commit"])));
+        assert!(!only.wants(EventMask::from_kinds(&["commit"])));
+        only.emit(2, SimEvent::DramRead { core: 0, line: 0 });
+        assert_eq!(writebacks.with(|s| s.seen.len()), 1);
+        assert!(!Observer::disabled().wants(EventMask::ALL));
+    }
+
+    #[test]
+    fn declared_interests_name_real_kinds() {
+        use crate::{CommitLogSink, EpisodeBuilder, LeakageAuditSink};
+        let declared: [(&[&str], EventMask); 3] = [
+            (
+                LeakageAuditSink::INTEREST,
+                LeakageAuditSink::new().interest(),
+            ),
+            (EpisodeBuilder::INTEREST, EpisodeBuilder::new().interest()),
+            (CommitLogSink::INTEREST, CommitLogSink::new().interest()),
+        ];
+        for (names, mask) in declared {
+            for name in names {
+                assert!(SimEvent::KINDS.contains(name), "unknown kind {name}");
+            }
+            assert_eq!(EventMask::from_kinds(names), mask);
+            assert_eq!(mask.len(), names.len(), "duplicate name in {names:?}");
+        }
+        assert_eq!(LeakageAuditSink::INTEREST.len(), 13);
+        assert_eq!(EpisodeBuilder::INTEREST.len(), 21);
+        // A wrapper declares what it wraps.
+        let shared = Shared::new(CommitLogSink::new());
+        assert_eq!(shared.interest(), EventMask::from_kinds(&["commit"]));
     }
 
     #[test]

@@ -59,7 +59,6 @@ fn cross_core_probe_during_window_gets_dummy_miss() {
                 spec: true,
                 allow_downgrade: false,
                 kind: LoadKind::Demand,
-                tag_spec_install: true,
             },
         )
         .expect("MSHR free");
@@ -114,7 +113,6 @@ fn same_core_hits_its_own_speculative_line() {
                 spec: true,
                 allow_downgrade: false,
                 kind: LoadKind::Demand,
-                tag_spec_install: true,
             },
         )
         .expect("MSHR free");
