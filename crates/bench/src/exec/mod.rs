@@ -26,12 +26,11 @@
 //!   and (under [`PanicPolicy::FailFast`]) cooperatively cancels the
 //!   tasks that have not started yet;
 //! * per-task timing and queue-depth counters that flow into the
-//!   existing [`MetricsRegistry`] host-profiling section.
+//!   existing [`cleanupspec_obs::MetricsRegistry`] host-profiling section.
 //!
 //! Everything is std-only (`Mutex`/`Condvar`, no extra dependencies),
 //! respecting the hermetic no-registry build. See `docs/EXECUTOR.md` for
-//! the design, the determinism guarantee, and the migration table from
-//! the retired per-harness pools.
+//! the design and the determinism guarantee.
 
 mod pool;
 mod sweep;
@@ -43,4 +42,5 @@ pub use pool::{
 pub use sweep::{ModeSweep, Sweep, SweepFailure, SweepResult, SweepRun};
 
 pub(crate) use pool::panic_message;
+#[cfg(test)]
 pub(crate) use sweep::run_spec_once;

@@ -211,7 +211,8 @@ fn exec_with(
     exec_env(progs, mode, seed, scheme_for_core, &ExecEnv::default())
 }
 
-/// [`exec_with`] with an explicit [`ExecEnv`] — the cs-chaos entry point:
+/// Runs `progs` like the fuzz oracle does, under an explicit [`ExecEnv`]
+/// (the default env is the plain campaign run) — the cs-chaos entry point:
 /// attaches the fault injector, applies the replacement-seed salt and MSHR
 /// override, and surfaces the stop reason and victim witnesses.
 pub fn exec_env(
@@ -544,10 +545,9 @@ pub(crate) fn judge(
         _ => {}
     }
 
-    // Oracle 4: the episode-granular undo-coverage ledger. Same residue
-    // classes as the audit, but each finding is pinned to the cleanup
-    // episode that should have covered it — so a detection names the
-    // squash, not just the line.
+    // Oracle 4: the episode view of the audit's undo-coverage ledger.
+    // Each finding is pinned to the cleanup episode that should have
+    // covered it — so a detection names the squash, not just the line.
     if mode == SecurityMode::CleanupSpec && !run.episodes.clean() {
         let l = &run.episodes.leaks[0];
         fail(

@@ -18,7 +18,6 @@ use crate::scheme::{
     SquashedLoad, SquashedLoadState,
 };
 use crate::stats::{CoreStats, SquashedClass, StallCause};
-use crate::trace::{TraceBuffer, TraceEvent};
 use cleanupspec_mem::hierarchy::{MemHierarchy, MissProvenance};
 use cleanupspec_mem::mshr::{LoadPath, MshrToken, SefeRecord};
 use cleanupspec_mem::stats::MsgClass;
@@ -260,7 +259,6 @@ pub struct Pipeline {
     halt_after_squash: bool,
     load_id_ctr: u64,
     stats: CoreStats,
-    trace: Option<TraceBuffer>,
     obs: Observer,
 }
 
@@ -298,7 +296,6 @@ impl Pipeline {
             halt_after_squash: false,
             load_id_ctr: 0,
             stats: CoreStats::default(),
-            trace: None,
             obs: Observer::disabled(),
             core,
             cfg,
@@ -306,8 +303,7 @@ impl Pipeline {
         }
     }
 
-    /// Attaches the event-bus observer (structured [`SimEvent`]s; the
-    /// legacy [`TraceBuffer`] keeps working independently).
+    /// Attaches the event-bus observer (structured [`SimEvent`]s).
     pub fn set_observer(&mut self, obs: Observer) {
         self.obs = obs;
     }
@@ -374,23 +370,6 @@ impl Pipeline {
             .flatten()
             .filter(|l| matches!(l.state, LqState::Inflight { .. }))
             .count()
-    }
-
-    /// Enables event tracing with a ring buffer of `capacity` events.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceBuffer::new(capacity));
-    }
-
-    /// The trace buffer, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.trace.as_ref()
-    }
-
-    #[inline]
-    fn emit(&mut self, cycle: Cycle, event: TraceEvent) {
-        if let Some(t) = &mut self.trace {
-            t.push(cycle, event);
-        }
     }
 
     /// Advances the core by one cycle against the shared memory system.
@@ -696,13 +675,6 @@ impl Pipeline {
                     self.episodes
                 }
             };
-            self.emit(
-                now,
-                TraceEvent::Squash {
-                    seq: branch_seq,
-                    squashed: n,
-                },
-            );
             self.obs.emit(
                 now,
                 SimEvent::Squash {
@@ -1112,13 +1084,6 @@ impl Pipeline {
                     self.sq[si] = None;
                 }
             }
-            self.emit(
-                now,
-                TraceEvent::Commit {
-                    seq: entry.seq,
-                    pc: entry.pc,
-                },
-            );
             self.obs.emit_with(now, || SimEvent::Commit {
                 core: self.core.index(),
                 seq: entry.seq,
@@ -1142,7 +1107,6 @@ impl Pipeline {
         let (head_seq, head_pc) = (head.seq, head.pc);
         self.stats.faults += 1;
         self.stats.squashes += 1;
-        self.emit(now, TraceEvent::Fault { seq: head_seq });
         self.obs.emit(
             now,
             SimEvent::Fault {
@@ -1467,15 +1431,6 @@ impl Pipeline {
                         });
                     }
                     Ok(out) => {
-                        self.emit(
-                            now,
-                            TraceEvent::LoadIssue {
-                                seq,
-                                line: addr.line(),
-                                path: out.path,
-                                spec: is_spec,
-                            },
-                        );
                         self.obs.emit_with(now, || SimEvent::LoadIssue {
                             core: self.core.index(),
                             seq,
@@ -1690,7 +1645,6 @@ impl Pipeline {
                     value: None,
                 });
             }
-            self.emit(now, TraceEvent::Dispatch { seq, pc });
             self.obs.emit_with(now, || SimEvent::Dispatch {
                 core: self.core.index(),
                 seq,

@@ -1,71 +1,19 @@
 //! The leakage-audit sink: checks the paper's "undo leaves no trace"
 //! invariant by correlating the event stream.
 //!
-//! The audit watches every speculative load issue. Fills on a watched
-//! line mark speculation-attributable *presence* per cache level; evicts,
-//! back-invalidations, flushes, and CleanupSpec invalidations clear it.
-//! When the load commits, its presence becomes architectural and the
-//! watch is dropped. When it is squashed instead, the presence must be
-//! gone by the end of the run — any remaining bit is exactly the
-//! secret-dependent footprint a cache side channel reads out.
-//!
-//! Symmetrically, a speculative install that evicts a victim line puts
-//! the victim on an *owed-restore* list, tagged with the evicting line.
-//! The debt comes *due* only if the evicting load is squashed — a
-//! speculative load that retires keeps its eviction, exactly as a
-//! non-speculative one would. A `cleanup-restore`, an L1 refill, or an
-//! architectural re-access settles the debt; a retire of the evictor
-//! forgives it.
+//! The audit is the undo-coverage ledger (`ledger.rs`, which holds the
+//! watch and owed-restore rules) plus four counters. Its verdict is the
+//! ledger's findings with the episode dropped, so it and
+//! [`crate::episode::EpisodeBuilder`] agree by construction.
 //!
 //! The verdict is computed lazily by [`LeakageAuditSink::report`] so that
 //! orphan fills landing cycles after the squash (the classic insecure-
 //! mode leak — drain the simulation before asking!) are still caught.
 
-use crate::event::{CacheLevel, EventMask, SimEvent};
+use crate::episode::LeakKind;
+use crate::event::{EventMask, SimEvent};
+use crate::ledger::Ledger;
 use crate::observer::EventSink;
-use std::collections::HashMap;
-
-#[derive(Clone, Copy, Default, Debug)]
-struct WatchState {
-    squashed: bool,
-    present_l1: bool,
-    present_l2: bool,
-    /// A `cleanup-inval` already targeted this line and no fill has landed
-    /// since: a second inval is a double undo, which on real hardware would
-    /// invalidate state the cleanup walk no longer owns.
-    cleaned: bool,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct OwedRestore {
-    /// The line whose speculative install displaced the victim.
-    evictor: u64,
-    /// The evictor was squashed, so the restore is actually owed.
-    due: bool,
-    /// The victim came back (cleanup-restore, refill, re-access).
-    settled: bool,
-}
-
-#[derive(Default, Debug)]
-struct CoreAudit {
-    /// Speculatively accessed lines -> speculation-attributable presence.
-    watch: HashMap<u64, WatchState>,
-    /// Victims of speculative evictions -> the restore they may be owed.
-    owed: HashMap<u64, OwedRestore>,
-}
-
-impl CoreAudit {
-    /// Forgives restores owed to `evictor`'s install: the line retired
-    /// (or was re-accessed architecturally), so the install that did the
-    /// evicting is architectural and the eviction stands. This also
-    /// covers debts marked due by a squashed *younger duplicate* load of
-    /// the same line — under MSHR merging, several in-flight instances
-    /// share one install, and only the install's own fate (retire vs.
-    /// squash-and-cleanup) decides whether the victim is owed a restore.
-    fn forgive_evictor(&mut self, evictor: u64) {
-        self.owed.retain(|_, o| o.evictor != evictor);
-    }
-}
 
 /// What kind of residue a squash left behind.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -154,44 +102,20 @@ impl std::fmt::Display for AuditReport {
 /// Event-correlating audit of the CleanupSpec undo invariant.
 #[derive(Default, Debug)]
 pub struct LeakageAuditSink {
-    cores: Vec<CoreAudit>,
+    ledger: Ledger,
     squashes: u64,
     squashed_loads: u64,
     cleanup_invals: u64,
     cleanup_restores: u64,
-    /// Residues detected eagerly at record time (protocol violations that
-    /// are wrong the moment they happen, independent of how the run ends).
-    eager: Vec<AuditResidue>,
 }
 
 impl LeakageAuditSink {
-    /// The kinds [`EventSink::record`] reads: one per `match` arm.
-    pub const INTEREST: &'static [&'static str] = &[
-        "load-issue",
-        "fill",
-        "orphan-fill",
-        "evict",
-        "back-inval",
-        "clflush",
-        "squash",
-        "squashed-load",
-        "commit",
-        "cleanup-inval",
-        "cleanup-restore",
-        "spec-retire",
-        "downgrade",
-    ];
+    /// The kinds [`EventSink::record`] reads: the ledger's.
+    pub const INTEREST: &'static [&'static str] = Ledger::INTEREST;
 
     /// An empty audit.
     pub fn new() -> Self {
         LeakageAuditSink::default()
-    }
-
-    fn core(&mut self, i: usize) -> &mut CoreAudit {
-        if self.cores.len() <= i {
-            self.cores.resize_with(i + 1, CoreAudit::default);
-        }
-        &mut self.cores[i]
     }
 
     /// Computes the verdict from the events seen so far.
@@ -200,41 +124,28 @@ impl LeakageAuditSink {
     /// insecure modes leak precisely via fills that complete after the
     /// squash, and those must be on the books before judging.
     pub fn report(&self) -> AuditReport {
-        let mut residue = self.eager.clone();
-        for (ci, c) in self.cores.iter().enumerate() {
-            for (&line, w) in &c.watch {
-                if !w.squashed {
-                    // Still in flight when the run ended (or committed —
-                    // those entries are removed at commit). Not evidence
-                    // of a broken undo.
-                    continue;
-                }
-                if w.present_l1 {
-                    residue.push(AuditResidue {
-                        core: ci,
-                        line,
-                        kind: ResidueKind::InstallL1,
-                    });
-                }
-                if w.present_l2 {
-                    residue.push(AuditResidue {
-                        core: ci,
-                        line,
-                        kind: ResidueKind::InstallL2,
-                    });
-                }
-            }
-            for (&line, o) in &c.owed {
-                if o.due && !o.settled {
-                    residue.push(AuditResidue {
-                        core: ci,
-                        line,
-                        kind: ResidueKind::MissingRestore,
-                    });
-                }
-            }
-        }
-        residue.sort_by_key(|r| (r.core, r.line));
+        let mut residue: Vec<AuditResidue> = self
+            .ledger
+            .leaks()
+            .into_iter()
+            .map(|l| AuditResidue {
+                core: l.core,
+                line: l.line,
+                kind: match l.kind {
+                    LeakKind::TransientInstallL1 | LeakKind::OrphanInstall => {
+                        ResidueKind::InstallL1
+                    }
+                    LeakKind::TransientInstallL2 => ResidueKind::InstallL2,
+                    LeakKind::MissingRestore => ResidueKind::MissingRestore,
+                    LeakKind::SpeculativeDowngrade => ResidueKind::SpeculativeDowngrade,
+                    LeakKind::DoubleUndo => ResidueKind::DoubleCleanup,
+                },
+            })
+            .collect();
+        // The ledger sorts by episode and `LeakKind`; an orphan L1 install
+        // sorts after its line's L2 install there, so re-sort by the
+        // residue kind's own order.
+        residue.sort_by_key(|r| (r.core, r.line, r.kind as u8));
         AuditReport {
             squashes: self.squashes,
             squashed_loads: self.squashed_loads,
@@ -251,204 +162,22 @@ impl EventSink for LeakageAuditSink {
         MASK
     }
 
-    fn record(&mut self, _cycle: u64, event: &SimEvent) {
-        match *event {
-            SimEvent::LoadIssue {
-                core, line, spec, ..
-            } => {
-                let c = self.core(core);
-                if spec {
-                    let w = c.watch.entry(line).or_default();
-                    // A previous squashed episode of this line that was
-                    // fully undone is finished business: this issue opens
-                    // a fresh episode. (Leaving the stale `squashed` bit
-                    // would misattribute the new instance's fills.)
-                    if w.squashed && !w.present_l1 && !w.present_l2 {
-                        *w = WatchState::default();
-                    }
-                } else {
-                    // An architectural access legitimizes the line's
-                    // presence, refills an evicted victim, and makes any
-                    // eviction this line's install caused architectural.
-                    c.watch.remove(&line);
-                    if let Some(o) = c.owed.get_mut(&line) {
-                        o.settled = true;
-                    }
-                    c.forgive_evictor(line);
-                }
-            }
-            SimEvent::Fill {
-                core,
-                line,
-                level,
-                spec,
-            } => {
-                let c = self.core(core);
-                if let Some(w) = c.watch.get_mut(&line) {
-                    if !w.squashed || spec {
-                        // The speculative load's own fill (insecure modes
-                        // install untagged, so an open episode claims any
-                        // fill on its line, tagged or not).
-                        w.cleaned = false;
-                        match level {
-                            CacheLevel::L1 => w.present_l1 = true,
-                            CacheLevel::L2 => w.present_l2 = true,
-                        }
-                    } else {
-                        // An untagged install landing *after* the episode
-                        // was squashed and undone — a cleanup restore, a
-                        // committed store's RFO, a demand refill — makes
-                        // the line's presence architectural and must not
-                        // be charged to the stale watch. (A squashed
-                        // load's own late fill is re-flagged by the
-                        // `OrphanFill` the MSHR emits right after.)
-                        c.watch.remove(&line);
-                    }
-                }
-                if level == CacheLevel::L1 {
-                    if let Some(o) = c.owed.get_mut(&line) {
-                        o.settled = true;
-                    }
-                }
-            }
-            SimEvent::OrphanFill { core, line } => {
-                // A squashed load's fill landed anyway (insecure modes
-                // keep the MSHR entry alive): speculation-attributable
-                // presence, no matter what the preceding plain `Fill` on
-                // this line looked like.
-                let w = self.core(core).watch.entry(line).or_default();
-                w.squashed = true;
-                w.present_l1 = true;
-            }
-            SimEvent::Evict {
-                core,
-                line,
-                level,
-                evictor,
-                ..
-            } => {
-                let c = self.core(core);
-                if let Some(w) = c.watch.get_mut(&line) {
-                    match level {
-                        CacheLevel::L1 => w.present_l1 = false,
-                        CacheLevel::L2 => w.present_l2 = false,
-                    }
-                }
-                // A speculative install displacing a *non-transient* L1
-                // victim owes that victim a restore — due only if the
-                // evictor is later squashed. (Transient victims are
-                // settled by their own cleanup entries.)
-                if let Some(evictor) = evictor {
-                    if level == CacheLevel::L1 && !c.watch.contains_key(&line) {
-                        c.owed.insert(
-                            line,
-                            OwedRestore {
-                                evictor,
-                                due: false,
-                                settled: false,
-                            },
-                        );
-                    }
-                }
-            }
-            SimEvent::BackInval { core, line } => {
-                if let Some(w) = self.core(core).watch.get_mut(&line) {
-                    w.present_l1 = false;
-                }
-            }
-            SimEvent::Clflush { line, .. } => {
-                // clflush removes the line everywhere, for every core.
-                for c in &mut self.cores {
-                    if let Some(w) = c.watch.get_mut(&line) {
-                        w.present_l1 = false;
-                        w.present_l2 = false;
-                    }
-                    c.owed.remove(&line);
-                }
-            }
+    fn record(&mut self, cycle: u64, event: &SimEvent) {
+        match event {
             SimEvent::Squash { .. } => self.squashes += 1,
-            SimEvent::SquashedLoad { core, line, .. } => {
-                self.squashed_loads += 1;
-                let c = self.core(core);
-                c.watch.entry(line).or_default().squashed = true;
-                // Any eviction this load's install caused is now due a
-                // restore.
-                for o in c.owed.values_mut() {
-                    if o.evictor == line {
-                        o.due = true;
-                    }
-                }
-            }
-            SimEvent::Commit {
-                core,
-                line: Some(line),
-                ..
-            } => {
-                let c = self.core(core);
-                c.watch.remove(&line);
-                if let Some(o) = c.owed.get_mut(&line) {
-                    o.settled = true;
-                }
-                c.forgive_evictor(line);
-            }
-            SimEvent::CleanupInval {
-                core, line, l1, l2, ..
-            } => {
-                self.cleanup_invals += 1;
-                let double = if let Some(w) = self.core(core).watch.get_mut(&line) {
-                    let double = w.cleaned;
-                    w.cleaned = true;
-                    if l1 {
-                        w.present_l1 = false;
-                    }
-                    if l2 {
-                        w.present_l2 = false;
-                    }
-                    double
-                } else {
-                    false
-                };
-                if double {
-                    self.eager.push(AuditResidue {
-                        core,
-                        line,
-                        kind: ResidueKind::DoubleCleanup,
-                    });
-                }
-            }
-            SimEvent::CleanupRestore { core, line, .. } => {
-                self.cleanup_restores += 1;
-                self.core(core)
-                    .owed
-                    .entry(line)
-                    .or_insert(OwedRestore {
-                        evictor: line,
-                        due: false,
-                        settled: true,
-                    })
-                    .settled = true;
-            }
-            SimEvent::SpecRetire { core, line } => {
-                // The load left the speculative window without a squash:
-                // its eviction (if any) is as architectural as its fill.
-                self.core(core).forgive_evictor(line);
-            }
-            SimEvent::Downgrade { owner, line, spec } if spec => {
-                self.eager.push(AuditResidue {
-                    core: owner,
-                    line,
-                    kind: ResidueKind::SpeculativeDowngrade,
-                });
-            }
+            SimEvent::SquashedLoad { .. } => self.squashed_loads += 1,
+            SimEvent::CleanupInval { .. } => self.cleanup_invals += 1,
+            SimEvent::CleanupRestore { .. } => self.cleanup_restores += 1,
             _ => {}
         }
+        self.ledger.record(cycle, event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::PathKind;
+    use crate::event::{CacheLevel, PathKind};
 
     fn issue(core: usize, line: u64, spec: bool) -> SimEvent {
         SimEvent::LoadIssue {
@@ -850,6 +579,100 @@ mod tests {
         b.record(7, &inval);
         let r = b.report();
         assert!(r.clean(), "{r}");
+    }
+
+    /// The ledger orders an orphan L1 install after its line's transient
+    /// L2 install (by `LeakKind`); the projection must restore the
+    /// residue's own L1-before-L2 order.
+    #[test]
+    fn orphan_l1_and_transient_l2_project_in_residue_order() {
+        let mut a = LeakageAuditSink::new();
+        a.record(0, &issue(0, 7, true));
+        a.record(1, &fill(0, 7, CacheLevel::L2));
+        a.record(
+            2,
+            &SimEvent::SquashedLoad {
+                core: 0,
+                line: 7,
+                issued: true,
+                episode: 1,
+            },
+        );
+        a.record(9, &SimEvent::OrphanFill { core: 0, line: 7 });
+        let kinds: Vec<ResidueKind> = a.report().residue.iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, [ResidueKind::InstallL1, ResidueKind::InstallL2]);
+    }
+
+    /// A speculative downgrade is charged to the requester once the
+    /// requester's load squashes (the unclaimed case stays on the owner).
+    #[test]
+    fn claimed_downgrade_is_charged_to_the_requester() {
+        let mut a = LeakageAuditSink::new();
+        a.record(
+            0,
+            &SimEvent::Downgrade {
+                owner: 1,
+                line: 3,
+                spec: true,
+            },
+        );
+        a.record(
+            1,
+            &SimEvent::SquashedLoad {
+                core: 0,
+                line: 3,
+                issued: true,
+                episode: 1,
+            },
+        );
+        assert_eq!(
+            a.report().residue,
+            [AuditResidue {
+                core: 0,
+                line: 3,
+                kind: ResidueKind::SpeculativeDowngrade,
+            }]
+        );
+    }
+
+    /// An orphan install that was later evicted is finished business: a
+    /// re-issue of its line opens a fresh watch, so the new instance's
+    /// untagged (insecure-mode) fill is still caught once it squashes.
+    #[test]
+    fn evicted_orphan_does_not_mask_a_reissued_install() {
+        let squashed = SimEvent::SquashedLoad {
+            core: 0,
+            line: 7,
+            issued: true,
+            episode: 1,
+        };
+        let mut a = LeakageAuditSink::new();
+        a.record(0, &issue(0, 7, true));
+        a.record(1, &squashed);
+        a.record(5, &SimEvent::OrphanFill { core: 0, line: 7 });
+        a.record(
+            6,
+            &SimEvent::Evict {
+                core: 0,
+                line: 7,
+                level: CacheLevel::L1,
+                dirty: false,
+                evictor: None,
+            },
+        );
+        a.record(7, &issue(0, 7, true));
+        a.record(
+            9,
+            &SimEvent::Fill {
+                core: 0,
+                line: 7,
+                level: CacheLevel::L1,
+                spec: false,
+            },
+        );
+        a.record(10, &squashed);
+        let kinds: Vec<ResidueKind> = a.report().residue.iter().map(|r| r.kind).collect();
+        assert_eq!(kinds, [ResidueKind::InstallL1]);
     }
 
     #[test]

@@ -10,18 +10,19 @@
 //! live (attached as a sink) or offline over a replayed JSONL trace and
 //! produce identical records.
 //!
-//! The **undo-coverage ledger** extends the leakage audit's invariant to
-//! episode granularity: every speculative fill belonging to a squashed
+//! The **undo-coverage ledger** (`ledger.rs`) checks the undo invariant
+//! at episode granularity: every speculative fill belonging to a squashed
 //! load must be accounted for as *invalidated* (possibly raced — the fill
 //! landed after the squash and was still unwound), *never installed*
 //! (epoch-dropped in flight), or legitimized by the correct path. Every
 //! victim displaced by a squashed install must be restored. Anything left
 //! over becomes an [`EpisodeLeak`] finding, attributed to the episode
-//! whose cleanup should have covered it — the same residue classes the
-//! [`crate::audit::LeakageAuditSink`] reports globally, but pinned to the
-//! squash that leaked them.
+//! whose cleanup should have covered it. The builder is that ledger plus
+//! the episode-shape records; [`crate::audit::LeakageAuditSink`] is the
+//! same ledger with the episodes projected away.
 
-use crate::event::{CacheLevel, EventMask, SimEvent};
+use crate::event::{EventMask, SimEvent};
+use crate::ledger::Ledger;
 use crate::observer::EventSink;
 use std::collections::HashMap;
 
@@ -190,45 +191,11 @@ impl std::fmt::Display for EpisodeReport {
     }
 }
 
-/// Per-line speculative-fill watch (episode-attributed twin of the
-/// audit's `WatchState`).
-#[derive(Clone, Copy, Default, Debug)]
-struct Watch {
-    /// Episode the line's squash joined (0 = not squashed yet).
-    episode: u64,
-    squashed: bool,
-    /// Cycle of the SquashedLoad event (valid when `squashed`).
-    squashed_at: u64,
-    present_l1: bool,
-    present_l2: bool,
-    /// Cycle of the most recent fill per level (valid when present).
-    fill_l1_at: u64,
-    fill_l2_at: u64,
-    /// A cleanup-inval already ran with no fill since.
-    cleaned: bool,
-    /// Marked by OrphanFill: presence is a leak no matter what.
-    orphan: bool,
-}
-
-/// A victim owed a restore if its evictor is squashed.
-#[derive(Clone, Copy, Debug)]
-struct Owed {
-    evictor: u64,
-    /// Episode of the evictor's squash (0 until due).
-    episode: u64,
-    due: bool,
-    settled: bool,
-}
-
 #[derive(Default, Debug)]
 struct CoreState {
     /// Episodes keyed by id, so re-emission after a snapshot restore
     /// overwrites instead of duplicating.
     episodes: HashMap<u64, EpisodeRecord>,
-    /// Id of the currently open episode, if any.
-    open: Option<u64>,
-    watch: HashMap<u64, Watch>,
-    owed: HashMap<u64, Owed>,
     /// Dummy misses carrying a *prospective* episode id (the protected
     /// window has not squashed yet): `(prospective_id, line)`. Claimed
     /// when the episode opens, discarded when the protected line retires.
@@ -238,10 +205,6 @@ struct CoreState {
 }
 
 impl CoreState {
-    fn forgive_evictor(&mut self, evictor: u64) {
-        self.owed.retain(|_, o| o.evictor != evictor);
-    }
-
     fn rec(&mut self, id: u64, core: usize) -> &mut EpisodeRecord {
         self.episodes.entry(id).or_insert_with(|| EpisodeRecord {
             core,
@@ -251,14 +214,6 @@ impl CoreState {
     }
 }
 
-/// Internal leak entry: the emission cycle rides along so snapshot
-/// restores can drop findings from the abandoned timeline.
-#[derive(Clone, Copy, Debug)]
-struct EagerLeak {
-    at: u64,
-    leak: EpisodeLeak,
-}
-
 /// Online reconstruction of cleanup episodes + undo-coverage ledger.
 ///
 /// Attach as a sink ([`crate::observer::Shared`] makes it retrievable
@@ -266,16 +221,13 @@ struct EagerLeak {
 /// [`EpisodeBuilder::report`] once the run has drained.
 #[derive(Default, Debug)]
 pub struct EpisodeBuilder {
+    ledger: Ledger,
     cores: Vec<CoreState>,
-    /// Speculative downgrades awaiting attribution: `(line, owner)`.
-    /// Claimed by the requester's SquashedLoad of the same line;
-    /// reported unattributed (episode 0) otherwise.
-    pending_downgrades: Vec<(u64, usize)>,
-    eager: Vec<EagerLeak>,
 }
 
 impl EpisodeBuilder {
-    /// The kinds [`EventSink::record`] reads: one per `match` arm.
+    /// The kinds [`EventSink::record`] reads: the ledger's, plus the ones
+    /// only the episode shape needs.
     pub const INTEREST: &'static [&'static str] = &[
         "squash",
         "squashed-load",
@@ -315,54 +267,6 @@ impl EpisodeBuilder {
     /// Computes the verdict from the events seen so far. Call after the
     /// simulation has drained: late orphan fills are leaks too.
     pub fn report(&self) -> EpisodeReport {
-        let mut leaks: Vec<EpisodeLeak> = self.eager.iter().map(|e| e.leak).collect();
-        for (ci, c) in self.cores.iter().enumerate() {
-            for (&line, w) in &c.watch {
-                if !w.squashed && !w.orphan {
-                    continue; // in flight or committed — not undo residue
-                }
-                if w.present_l1 {
-                    leaks.push(EpisodeLeak {
-                        core: ci,
-                        episode: w.episode,
-                        line,
-                        kind: if w.orphan {
-                            LeakKind::OrphanInstall
-                        } else {
-                            LeakKind::TransientInstallL1
-                        },
-                    });
-                }
-                if w.present_l2 {
-                    leaks.push(EpisodeLeak {
-                        core: ci,
-                        episode: w.episode,
-                        line,
-                        kind: LeakKind::TransientInstallL2,
-                    });
-                }
-            }
-            for (&line, o) in &c.owed {
-                if o.due && !o.settled {
-                    leaks.push(EpisodeLeak {
-                        core: ci,
-                        episode: o.episode,
-                        line,
-                        kind: LeakKind::MissingRestore,
-                    });
-                }
-            }
-        }
-        for &(line, owner) in &self.pending_downgrades {
-            leaks.push(EpisodeLeak {
-                core: owner,
-                episode: 0,
-                line,
-                kind: LeakKind::SpeculativeDowngrade,
-            });
-        }
-        leaks.sort();
-        leaks.dedup();
         let mut episodes: Vec<EpisodeRecord> = self
             .cores
             .iter()
@@ -378,7 +282,10 @@ impl EpisodeBuilder {
                 episodes[i].overlap_next = overlap;
             }
         }
-        EpisodeReport { episodes, leaks }
+        EpisodeReport {
+            episodes,
+            leaks: self.ledger.leaks(),
+        }
     }
 }
 
@@ -389,6 +296,13 @@ impl EventSink for EpisodeBuilder {
     }
 
     fn record(&mut self, cycle: u64, event: &SimEvent) {
+        let raced = match *event {
+            SimEvent::CleanupInval {
+                core, line, l1, l2, ..
+            } => self.ledger.raced(core, line, l1, l2),
+            _ => false,
+        };
+        self.ledger.record(cycle, event);
         match *event {
             SimEvent::Squash {
                 core,
@@ -405,7 +319,6 @@ impl EventSink for EpisodeBuilder {
                 }
                 r.squashes += 1;
                 r.squashed_insns += squashed;
-                c.open = Some(episode);
                 // Claim window-protection dummies buffered under this
                 // (previously prospective) episode id; ids that never
                 // opened stay buffered until their line retires or the
@@ -423,45 +336,13 @@ impl EventSink for EpisodeBuilder {
             }
             SimEvent::SquashedLoad {
                 core,
-                line,
                 issued,
                 episode,
-            } => {
-                let c = self.core(core);
-                if episode != 0 {
-                    let r = c.rec(episode, core);
-                    r.loads += 1;
-                    r.loads_issued += u64::from(issued);
-                }
-                let w = c.watch.entry(line).or_default();
-                w.squashed = true;
-                w.squashed_at = cycle;
-                w.episode = episode;
-                for o in c.owed.values_mut() {
-                    if o.evictor == line {
-                        o.due = true;
-                        o.episode = episode;
-                    }
-                }
-                // A speculative downgrade caused by this load's request
-                // is now attributable: the requester squashed.
-                let mut i = 0;
-                while i < self.pending_downgrades.len() {
-                    if self.pending_downgrades[i].0 == line {
-                        self.pending_downgrades.swap_remove(i);
-                        self.eager.push(EagerLeak {
-                            at: cycle,
-                            leak: EpisodeLeak {
-                                core,
-                                episode,
-                                line,
-                                kind: LeakKind::SpeculativeDowngrade,
-                            },
-                        });
-                    } else {
-                        i += 1;
-                    }
-                }
+                ..
+            } if episode != 0 => {
+                let r = self.core(core).rec(episode, core);
+                r.loads += 1;
+                r.loads_issued += u64::from(issued);
             }
             SimEvent::CleanupStart {
                 core,
@@ -478,93 +359,21 @@ impl EventSink for EpisodeBuilder {
                 stall,
                 episode,
             } if episode != 0 => {
-                let c = self.core(core);
-                let r = c.rec(episode, core);
+                let r = self.core(core).rec(episode, core);
                 r.end = cycle;
                 r.stall = stall;
                 r.closed = true;
-                if c.open == Some(episode) {
-                    c.open = None;
-                }
             }
-            SimEvent::CleanupInval {
-                core,
-                line,
-                l1,
-                l2,
-                episode,
-                ..
-            } => {
-                let c = self.core(core);
-                let mut raced = false;
-                let mut double = false;
-                if let Some(w) = c.watch.get_mut(&line) {
-                    double = w.cleaned;
-                    w.cleaned = true;
-                    if w.squashed {
-                        raced = (l1 && w.present_l1 && w.fill_l1_at > w.squashed_at)
-                            || (l2 && w.present_l2 && w.fill_l2_at > w.squashed_at);
-                    }
-                    if l1 {
-                        w.present_l1 = false;
-                    }
-                    if l2 {
-                        w.present_l2 = false;
-                    }
-                }
-                if episode != 0 {
-                    let r = c.rec(episode, core);
-                    r.invals += 1;
-                    r.raced_fills += u64::from(raced);
-                }
-                if double {
-                    self.eager.push(EagerLeak {
-                        at: cycle,
-                        leak: EpisodeLeak {
-                            core,
-                            episode,
-                            line,
-                            kind: LeakKind::DoubleUndo,
-                        },
-                    });
-                }
+            SimEvent::CleanupInval { core, episode, .. } if episode != 0 => {
+                let r = self.core(core).rec(episode, core);
+                r.invals += 1;
+                r.raced_fills += u64::from(raced);
             }
-            SimEvent::CleanupRestore {
-                core,
-                line,
-                episode,
-                ..
-            } => {
-                let c = self.core(core);
-                if episode != 0 {
-                    c.rec(episode, core).restores += 1;
-                }
-                c.owed
-                    .entry(line)
-                    .or_insert(Owed {
-                        evictor: line,
-                        episode,
-                        due: false,
-                        settled: true,
-                    })
-                    .settled = true;
+            SimEvent::CleanupRestore { core, episode, .. } if episode != 0 => {
+                self.core(core).rec(episode, core).restores += 1;
             }
-            SimEvent::DroppedFill {
-                core,
-                line,
-                episode,
-            } => {
-                let c = self.core(core);
-                if episode != 0 {
-                    c.rec(episode, core).dropped_fills += 1;
-                }
-                // The fill never installed: if nothing else is on the
-                // books for the line, the watch is finished business.
-                if let Some(w) = c.watch.get(&line) {
-                    if w.squashed && !w.present_l1 && !w.present_l2 {
-                        c.watch.remove(&line);
-                    }
-                }
+            SimEvent::DroppedFill { core, episode, .. } if episode != 0 => {
+                self.core(core).rec(episode, core).dropped_fills += 1;
             }
             SimEvent::EpochBump { core, episode, .. } if episode != 0 => {
                 self.core(core).rec(episode, core).epoch_bumps += 1;
@@ -586,142 +395,26 @@ impl EventSink for EpisodeBuilder {
                     c.pending_dummy.push((episode, line));
                 }
             }
-            SimEvent::LoadIssue {
-                core, line, spec, ..
-            } => {
-                let c = self.core(core);
-                if spec {
-                    let w = c.watch.entry(line).or_default();
-                    if w.squashed && !w.present_l1 && !w.present_l2 && !w.orphan {
-                        *w = Watch::default();
-                    }
-                } else {
-                    c.watch.remove(&line);
-                    if let Some(o) = c.owed.get_mut(&line) {
-                        o.settled = true;
-                    }
-                    c.forgive_evictor(line);
-                }
-            }
-            SimEvent::Fill {
-                core,
-                line,
-                level,
-                spec,
-            } => {
-                let c = self.core(core);
-                if let Some(w) = c.watch.get_mut(&line) {
-                    if !w.squashed || spec {
-                        w.cleaned = false;
-                        match level {
-                            CacheLevel::L1 => {
-                                w.present_l1 = true;
-                                w.fill_l1_at = cycle;
-                            }
-                            CacheLevel::L2 => {
-                                w.present_l2 = true;
-                                w.fill_l2_at = cycle;
-                            }
-                        }
-                    } else {
-                        // Untagged install after the squash was undone
-                        // (restore, RFO, demand refill) — architectural.
-                        c.watch.remove(&line);
-                    }
-                }
-                if level == CacheLevel::L1 {
-                    if let Some(o) = c.owed.get_mut(&line) {
-                        o.settled = true;
-                    }
-                }
-            }
-            SimEvent::OrphanFill { core, line } => {
-                let c = self.core(core);
-                let last = c.open.or_else(|| c.episodes.keys().max().copied());
-                let w = c.watch.entry(line).or_default();
-                w.squashed = true;
-                w.present_l1 = true;
-                w.orphan = true;
-                if w.episode == 0 {
-                    w.episode = last.unwrap_or(0);
-                }
-            }
-            SimEvent::Evict {
-                core,
-                line,
-                level,
-                evictor,
-                ..
-            } => {
-                let c = self.core(core);
-                if let Some(w) = c.watch.get_mut(&line) {
-                    match level {
-                        CacheLevel::L1 => w.present_l1 = false,
-                        CacheLevel::L2 => w.present_l2 = false,
-                    }
-                }
-                if let Some(evictor) = evictor {
-                    if level == CacheLevel::L1 && !c.watch.contains_key(&line) {
-                        c.owed.insert(
-                            line,
-                            Owed {
-                                evictor,
-                                episode: 0,
-                                due: false,
-                                settled: false,
-                            },
-                        );
-                    }
-                }
-            }
-            SimEvent::BackInval { core, line } => {
-                if let Some(w) = self.core(core).watch.get_mut(&line) {
-                    w.present_l1 = false;
-                }
-            }
-            SimEvent::Clflush { line, .. } => {
-                for c in &mut self.cores {
-                    if let Some(w) = c.watch.get_mut(&line) {
-                        w.present_l1 = false;
-                        w.present_l2 = false;
-                    }
-                    c.owed.remove(&line);
-                }
-            }
-            SimEvent::Commit {
-                core,
-                line: Some(line),
-                ..
-            } => {
-                let c = self.core(core);
-                c.watch.remove(&line);
-                if let Some(o) = c.owed.get_mut(&line) {
-                    o.settled = true;
-                }
-                c.forgive_evictor(line);
-            }
             SimEvent::SpecRetire { core, line } => {
-                let c = self.core(core);
-                c.forgive_evictor(line);
                 // The protected window retired without squashing: its
                 // prospective dummy misses belong to no episode.
-                c.pending_dummy.retain(|&(_, l)| l != line);
+                self.core(core).pending_dummy.retain(|&(_, l)| l != line);
             }
-            SimEvent::Downgrade { owner, line, spec } if spec => {
-                self.pending_downgrades.push((line, owner));
-            }
-            SimEvent::MshrAlloc { core, spec, .. } => {
+            SimEvent::MshrAlloc {
+                core, spec: true, ..
+            } => {
+                let open = self.ledger.open(core);
                 let c = self.core(core);
-                if spec {
-                    c.sefe_live += 1;
-                    if let Some(id) = c.open {
-                        let live = c.sefe_live;
-                        let r = c.rec(id, core);
-                        r.sefe_high = r.sefe_high.max(live);
-                    }
+                c.sefe_live += 1;
+                if let Some(id) = open {
+                    let live = c.sefe_live;
+                    let r = c.rec(id, core);
+                    r.sefe_high = r.sefe_high.max(live);
                 }
             }
-            SimEvent::MshrRetire { core, spec, .. } if spec => {
+            SimEvent::MshrRetire {
+                core, spec: true, ..
+            } => {
                 let c = self.core(core);
                 c.sefe_live = c.sefe_live.saturating_sub(1);
             }
@@ -729,17 +422,13 @@ impl EventSink for EpisodeBuilder {
                 // The timeline rewinds to `at`: episodes that closed
                 // before it are final; everything else will be re-emitted
                 // (possibly differently) on the resumed path, so drop the
-                // volatile state rather than double-count it.
+                // volatile state rather than double-count it. The ledger
+                // rewinds itself.
                 for c in &mut self.cores {
                     c.episodes.retain(|_, r| r.closed && r.end <= at);
-                    c.open = None;
-                    c.watch.clear();
-                    c.owed.clear();
                     c.pending_dummy.clear();
                     c.sefe_live = 0;
                 }
-                self.pending_downgrades.clear();
-                self.eager.retain(|e| e.at <= at);
             }
             _ => {}
         }
@@ -749,7 +438,7 @@ impl EventSink for EpisodeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::PathKind;
+    use crate::event::{CacheLevel, PathKind};
 
     fn issue(core: usize, line: u64, spec: bool) -> SimEvent {
         SimEvent::LoadIssue {

@@ -9,7 +9,7 @@
 //! Sinks implement [`EventSink`] and can be combined freely:
 //!
 //! * [`RingSink`] — a bounded in-memory ring buffer for test assertions
-//!   and interactive dumps (subsumes the old core-local `TraceBuffer`).
+//!   and interactive dumps.
 //! * [`JsonlSink`] — streams one JSON object per event to any writer.
 //! * [`PerfettoSink`] — renders the run as Chrome trace-event JSON that
 //!   `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) load
@@ -17,6 +17,11 @@
 //! * [`LeakageAuditSink`] — correlates speculative fills, squashes, and
 //!   cleanup operations to verify the paper's core invariant at runtime:
 //!   after a squash, no speculation-attributable cache state survives.
+//! * [`EpisodeBuilder`] — reconstructs cleanup episodes and pins each
+//!   undo imbalance to the episode that should have covered it.
+//!
+//! The audit and the episode builder are two views of one undo-coverage
+//! ledger, so their verdicts cannot drift apart.
 //!
 //! This crate sits at the bottom of the workspace (no dependencies, not
 //! even on `cleanupspec-mem`), so events carry primitive field types:
@@ -35,6 +40,7 @@ pub mod histogram;
 pub mod json;
 pub mod jsonl;
 pub mod jsonparse;
+mod ledger;
 pub mod metrics;
 pub mod observer;
 pub mod perfetto;

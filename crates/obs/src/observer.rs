@@ -32,9 +32,8 @@ type SinkList = Arc<Mutex<Vec<(EventMask, Box<dyn EventSink>)>>>;
 /// A cloneable handle that fans events out to attached sinks.
 ///
 /// The disabled handle (no sinks, the default) costs one branch per
-/// emission site — the same contract as the pipeline's legacy
-/// `Option<TraceBuffer>` tracing. So does an event no attached sink
-/// declared interest in: it is dropped before any lock is taken.
+/// emission site. So does an event no attached sink declared interest
+/// in: it is dropped before any lock is taken.
 #[derive(Clone, Default)]
 pub struct Observer {
     sinks: Option<SinkList>,
@@ -299,8 +298,13 @@ mod tests {
             assert_eq!(EventMask::from_kinds(names), mask);
             assert_eq!(mask.len(), names.len(), "duplicate name in {names:?}");
         }
-        assert_eq!(LeakageAuditSink::INTEREST.len(), 13);
+        assert_eq!(LeakageAuditSink::INTEREST.len(), 16);
         assert_eq!(EpisodeBuilder::INTEREST.len(), 21);
+        // Both sinks wrap the same ledger, so the builder must receive
+        // every kind the ledger reads.
+        for name in LeakageAuditSink::INTEREST {
+            assert!(EpisodeBuilder::INTEREST.contains(name), "{name}");
+        }
         // A wrapper declares what it wraps.
         let shared = Shared::new(CommitLogSink::new());
         assert_eq!(shared.interest(), EventMask::from_kinds(&["commit"]));

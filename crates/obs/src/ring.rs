@@ -16,8 +16,8 @@ pub struct EventRecord {
 
 /// Keeps the most recent `capacity` events; older ones are discarded.
 ///
-/// This subsumes the core-local `TraceBuffer`: the same bounded-window
-/// semantics, but fed by every layer of the machine.
+/// Fed by every layer of the machine, it is the simulator's one bounded
+/// event trace.
 #[derive(Debug)]
 pub struct RingSink {
     capacity: usize,

@@ -1,55 +1,54 @@
-//! Tests of the pipeline's event-trace infrastructure against a known
-//! attack timeline.
+//! Tests of the event-bus ring buffer against a known attack timeline.
 
 use cleanupspec::prelude::*;
-use cleanupspec_suite::core_sim::trace::TraceEvent;
+use cleanupspec_obs::{RingSink, Shared, SimEvent};
 use cleanupspec_suite::workloads::attacks::{meltdown_program, MeltdownConfig};
 
-#[test]
-fn trace_captures_meltdown_timeline() {
-    let cfg = MeltdownConfig::default();
-    let mut sim = SimBuilder::new(SecurityMode::CleanupSpec)
-        .program(meltdown_program(&cfg))
-        .build();
-    sim.system_mut().core_mut(0).enable_trace(4096);
+fn run_meltdown(mode: SecurityMode, ring: Option<Shared<RingSink>>) -> Simulator {
+    let mut b = SimBuilder::new(mode).program(meltdown_program(&MeltdownConfig::default()));
+    if let Some(ring) = ring {
+        b = b.sink(Box::new(ring));
+    }
+    let mut sim = b.build();
     sim.run(RunLimits {
         max_cycles: 200_000,
         max_insts_per_core: u64::MAX,
         ..RunLimits::default()
     });
-    let trace = sim.system().core(0).trace().expect("tracing enabled");
-    let events: Vec<_> = trace.events().map(|r| r.event).collect();
+    sim.finish_observer();
+    sim
+}
+
+#[test]
+fn trace_captures_meltdown_timeline() {
+    let ring = Shared::new(RingSink::new(1 << 16));
+    run_meltdown(SecurityMode::CleanupSpec, Some(ring.clone()));
+    let records = ring.with(|r| r.to_vec());
     // The secret load and the transient transmission both issued...
-    let loads: Vec<_> = events
+    let loads: Vec<_> = records
         .iter()
-        .filter(|e| matches!(e, TraceEvent::LoadIssue { .. }))
+        .filter(|r| matches!(r.event, SimEvent::LoadIssue { core: 0, .. }))
         .collect();
     assert!(loads.len() >= 2, "secret + transmission loads: {loads:?}");
     // ...a fault was raised...
-    assert!(events.iter().any(|e| matches!(e, TraceEvent::Fault { .. })));
+    assert!(records
+        .iter()
+        .any(|r| matches!(r.event, SimEvent::Fault { core: 0, .. })));
     // ...and the timeline is cycle-monotonic.
-    let cycles: Vec<_> = trace.events().map(|r| r.cycle).collect();
-    assert!(cycles.windows(2).all(|w| w[0] <= w[1]));
+    assert!(records.windows(2).all(|w| w[0].cycle <= w[1].cycle));
     // The dump is renderable and mentions the fault.
-    let dump = trace.dump();
-    assert!(dump.contains("FAULT"));
-    assert!(dump.contains("dispatch"));
+    let dump = ring.with(|r| r.dump());
+    assert!(dump.contains("] fault"), "{dump}");
+    assert!(dump.contains("] dispatch"), "{dump}");
 }
 
 #[test]
 fn trace_disabled_by_default_and_bounded_when_on() {
-    let cfg = MeltdownConfig::default();
-    let mut sim = SimBuilder::new(SecurityMode::NonSecure)
-        .program(meltdown_program(&cfg))
-        .build();
-    assert!(sim.system().core(0).trace().is_none());
-    sim.system_mut().core_mut(0).enable_trace(4);
-    sim.run(RunLimits {
-        max_cycles: 200_000,
-        max_insts_per_core: u64::MAX,
-        ..RunLimits::default()
-    });
-    let t = sim.system().core(0).trace().unwrap();
-    assert!(t.events().count() <= 4, "ring buffer bound respected");
-    assert!(t.total_recorded() > 4, "more events happened than retained");
+    let sim = run_meltdown(SecurityMode::NonSecure, None);
+    assert!(!sim.observer().is_enabled());
+    let ring = Shared::new(RingSink::new(4));
+    run_meltdown(SecurityMode::NonSecure, Some(ring.clone()));
+    let (retained, total) = ring.with(|r| (r.events().count(), r.total_recorded()));
+    assert!(retained <= 4, "ring buffer bound respected");
+    assert!(total > 4, "more events happened than retained");
 }
