@@ -15,7 +15,7 @@
 //! deterministic per seed, so IPC is machine-independent, while the host
 //! metrics (wall, KIPS) vary by machine and are never gated.
 //!
-//! The sweep itself runs on the shared `cs-exec` work-stealing pool via
+//! The sweep itself runs on the shared `cs-exec` executor via
 //! [`cleanupspec_bench::suite::run_suite`]; this binary only parses
 //! flags, prints the summary, and writes the artifact.
 
@@ -279,13 +279,12 @@ fn run(args: &Args) -> ExitCode {
     let (events, dropped) = outcome.events;
     println!(
         "host: {:.1}s wall, {:.0} KIPS, {:.0} events/s ({} dropped at ring capacity {}), \
-         {} task(s) stolen across {} worker(s)",
+         {} worker(s)",
         outcome.wall_secs,
         outcome.report.host.gauge("sim_kips"),
         outcome.report.host.gauge("events_per_sec"),
         dropped,
         opts.ring_capacity,
-        outcome.exec.tasks_stolen,
         outcome.exec.threads
     );
     let _ = events;

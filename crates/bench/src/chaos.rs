@@ -251,9 +251,9 @@ pub fn scan_fault(kind: FaultKind, start: u64, max_seeds: u64) -> MatrixRow {
 }
 
 /// Builds the full fault-detection matrix: every [`FaultKind`], scanned
-/// on the shared work-stealing pool (results are per-fault
-/// deterministic, so threading cannot change a verdict; rows come back
-/// in `FaultKind::ALL` order regardless of scheduling).
+/// on the shared executor (results are per-fault deterministic, so
+/// threading cannot change a verdict; rows come back in `FaultKind::ALL`
+/// order regardless of scheduling).
 pub fn detection_matrix(start: u64, max_seeds: u64) -> Vec<MatrixRow> {
     let outcome = crate::exec::run_indexed(
         FaultKind::ALL.len(),

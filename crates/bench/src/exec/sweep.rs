@@ -21,12 +21,12 @@
 //! }
 //! ```
 //!
-//! The whole matrix is flattened into one task list for the
-//! work-stealing pool, so a slow workload in one mode steals no time
-//! from the other modes' fast workloads. Results come back grouped by
-//! mode, workloads in input order, independent of scheduling.
+//! The whole matrix is flattened into one task list for the executor,
+//! so a slow workload in one mode holds up no other mode's fast
+//! workloads. Results come back grouped by mode, workloads in input
+//! order, independent of scheduling.
 
-use super::pool::{run_indexed, ExecConfig, ExecStats, PanicPolicy};
+use super::pool::{run_indexed, ExecConfig, ExecStats};
 use crate::runner::{
     checkpoint_dir_from_env, checkpoint_key, load_checkpoint, store_checkpoint, warmup_insts,
     ExperimentConfig,
@@ -103,18 +103,15 @@ impl ModeSweep {
     }
 }
 
-/// Everything a sweep produced: per-mode survivors, failures, skipped
-/// runs, and scheduling/timing counters.
+/// Everything a sweep produced: per-mode survivors, failures, and
+/// scheduling/timing counters.
 #[derive(Clone, Debug)]
 pub struct SweepResult {
     /// One group per requested mode, in request order.
     pub modes: Vec<ModeSweep>,
-    /// Runs that panicked (isolated; the rest of the sweep completed
-    /// or was cancelled according to the panic policy).
+    /// Runs that panicked (isolated; the rest of the sweep completed).
     pub failures: Vec<SweepFailure>,
-    /// Runs skipped by fail-fast cancellation, as `(mode, workload)`.
-    pub skipped: Vec<(SecurityMode, String)>,
-    /// Work-stealing pool counters for the whole sweep.
+    /// Executor counters for the whole sweep.
     pub stats: ExecStats,
     /// End-to-end wall-clock of the sweep.
     pub wall_secs: f64,
@@ -125,7 +122,7 @@ pub struct SweepResult {
 impl SweepResult {
     /// Whether every requested run produced a report.
     pub fn is_complete(&self) -> bool {
-        self.failures.is_empty() && self.skipped.is_empty()
+        self.failures.is_empty()
     }
 
     /// The group for `mode`, if it was part of the sweep.
@@ -147,12 +144,6 @@ impl SweepResult {
             .unwrap_or_default()
     }
 
-    /// Names of panicked workloads (one entry per failure, in matrix
-    /// order).
-    pub fn failed_names(&self) -> Vec<String> {
-        self.failures.iter().map(|f| f.workload.clone()).collect()
-    }
-
     /// Prints the historical stderr warning for dropped workloads.
     pub fn warn_if_incomplete(&self) {
         if !self.failures.is_empty() {
@@ -167,20 +158,14 @@ impl SweepResult {
                 names.join(", ")
             );
         }
-        if !self.skipped.is_empty() {
-            eprintln!(
-                "warning: {} run(s) skipped by fail-fast cancellation",
-                self.skipped.len()
-            );
-        }
     }
 }
 
-/// Builder for a mode×workload campaign on the work-stealing executor.
+/// Builder for a mode×workload campaign on the shared executor.
 /// Defaults: all 19 Table-3 workloads, `NonSecure` only, sizing from
 /// [`ExperimentConfig::default`] (`CLEANUPSPEC_INSTS`, seed
 /// `0xC1EA_2019`, [`super::default_threads`]), checkpoints from
-/// `CLEANUPSPEC_CHECKPOINT_DIR`, keep-going panic policy.
+/// `CLEANUPSPEC_CHECKPOINT_DIR`.
 #[derive(Clone, Debug)]
 pub struct Sweep {
     modes: Vec<SecurityMode>,
@@ -189,7 +174,6 @@ pub struct Sweep {
     seed: u64,
     threads: usize,
     checkpoints: CheckpointPolicy,
-    on_panic: PanicPolicy,
 }
 
 impl Default for Sweep {
@@ -209,7 +193,6 @@ impl Sweep {
             seed: cfg.seed,
             threads: cfg.threads,
             checkpoints: CheckpointPolicy::FromEnv,
-            on_panic: PanicPolicy::KeepGoing,
         }
     }
 
@@ -267,12 +250,6 @@ impl Sweep {
         self
     }
 
-    /// Panic policy for the pool ([`PanicPolicy::KeepGoing`] default).
-    pub fn on_panic(mut self, policy: PanicPolicy) -> Self {
-        self.on_panic = policy;
-        self
-    }
-
     /// Runs the campaign. The matrix is flattened into one task list
     /// (task `i` = mode `i / W`, workload `i % W`) so the pool balances
     /// across the whole sweep, then regrouped per mode in input order.
@@ -289,11 +266,7 @@ impl Sweep {
             CheckpointPolicy::Disabled => None,
             CheckpointPolicy::Dir(d) => Some(d),
         };
-        let exec_cfg = ExecConfig {
-            threads: self.threads,
-            on_panic: self.on_panic,
-            ..ExecConfig::default()
-        };
+        let exec_cfg = ExecConfig::with_threads(self.threads);
         let (modes, workloads) = (&self.modes, &self.workloads);
         let outcome = run_indexed(nm * nw, &exec_cfg, |i| {
             let (mode, w) = (modes[i / nw], &workloads[i % nw]);
@@ -330,15 +303,9 @@ impl Sweep {
                 message: f.message,
             })
             .collect();
-        let skipped = outcome
-            .cancelled
-            .into_iter()
-            .map(|i| (self.modes[i / nw], self.workloads[i % nw].name.to_string()))
-            .collect();
         SweepResult {
             modes: mode_groups,
             failures,
-            skipped,
             stats: outcome.stats,
             wall_secs: t0.elapsed().as_secs_f64(),
             cache_hits,

@@ -864,7 +864,7 @@ impl CampaignResult {
 }
 
 /// Fuzzes `count` seeds starting at `start`, across `threads` workers
-/// of the shared work-stealing pool ([`crate::exec::run_indexed`]).
+/// of the shared executor ([`crate::exec::run_indexed`]).
 /// Deterministic: each seed's verdict is independent of threading, and
 /// verdicts aggregate in seed order whatever the schedule was.
 pub fn run_campaign(start: u64, count: u64, threads: usize) -> CampaignResult {
@@ -894,10 +894,7 @@ pub fn run_campaign_resumable(
     threads: usize,
     journal: Option<&crate::journal::Journal>,
 ) -> CampaignResult {
-    let cfg = crate::exec::ExecConfig {
-        threads,
-        ..crate::exec::ExecConfig::default()
-    };
+    let cfg = crate::exec::ExecConfig::with_threads(threads);
     // `run_seed_isolated` already converts engine panics into
     // `"panic"`-oracle violations, so the pool's own isolation is a
     // second line of defense that normally never fires.

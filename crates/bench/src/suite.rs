@@ -1,5 +1,5 @@
 //! The cs-bench suite as a library: run a workload×mode matrix on the
-//! `cs-exec` work-stealing pool (optionally with shared warmup
+//! shared `cs-exec` executor (optionally with shared warmup
 //! snapshots) and assemble the schema-versioned [`BenchReport`].
 //!
 //! Living in the library rather than the `cs-bench` binary lets
@@ -284,7 +284,7 @@ pub struct SuiteOutcome {
     pub resumed: u64,
     /// Shared-warmup accounting (zero when not enabled).
     pub warmup: WarmupShareStats,
-    /// Work-stealing pool counters.
+    /// Executor counters.
     pub exec: ExecStats,
     /// Total events recorded / dropped across every ring.
     pub events: (u64, u64),
@@ -295,12 +295,12 @@ pub struct SuiteOutcome {
 /// Runs the whole matrix and assembles the [`BenchReport`].
 ///
 /// The unshared path flattens modes×workloads into **one** task list on
-/// the work-stealing pool (task `i` = mode `i / W`, workload `i % W`),
-/// so a slow workload in one mode borrows idle workers from every other
-/// mode. The shared-warmup path parallelizes over workloads (all modes
-/// of a workload fork one warm snapshot on the same worker). Either
-/// way, rows are regrouped to `[mode][workload]` in input order, so the
-/// emitted document is identical at any thread count.
+/// the executor (task `i` = mode `i / W`, workload `i % W`), so a slow
+/// workload in one mode never holds up another mode's cells. The
+/// shared-warmup path parallelizes over workloads (all modes of a
+/// workload fork one warm snapshot on the same worker). Either way, rows
+/// are regrouped to `[mode][workload]` in input order, so the emitted
+/// document is identical at any thread count.
 pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
     let cfg = opts.cfg;
     let baseline_mode = SecurityMode::NonSecure;
@@ -337,10 +337,7 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
 
     let mut host = MetricsRegistry::new();
     let suite_start = Instant::now();
-    let exec_cfg = ExecConfig {
-        threads: cfg.threads,
-        ..ExecConfig::default()
-    };
+    let exec_cfg = ExecConfig::with_threads(cfg.threads);
 
     // Collect rows per mode (same order as `modes`), either by forking
     // shared warm snapshots or by independent per-mode runs.
@@ -368,7 +365,7 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
             .collect();
         (per_mode, outcome.stats)
     } else {
-        // One task per matrix cell: stealing balances across the whole
+        // One task per matrix cell: workers claim cells across the whole
         // modes×workloads matrix, not within one mode at a time. With a
         // journal, completed cells replay from it (skipping simulation
         // entirely) and fresh completions are recorded as they land, so a
