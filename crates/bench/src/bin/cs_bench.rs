@@ -303,9 +303,9 @@ fn run(args: &Args) -> ExitCode {
         eprintln!("cs-bench: internal error: emitted document fails check: {e}");
         return ExitCode::FAILURE;
     }
-    // Write through the hardened artifact store: unique tmp + fsync +
-    // rename plus a checksum sidecar, so a crash mid-write can never
-    // leave a torn BENCH document for CI to choke on.
+    // Write through the artifact store: unique tmp + fsync + rename plus
+    // a checksum sidecar, so a crash mid-write can never leave a torn
+    // BENCH document for CI to choke on.
     let out_path = std::path::Path::new(&args.out);
     let out_dir = match out_path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p,
@@ -315,21 +315,10 @@ fn run(args: &Args) -> ExitCode {
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| args.out.clone());
-    let store = cleanupspec_bench::store::shared_dir_store(out_dir);
+    let store = cleanupspec_bench::store::DirStore::new(out_dir);
     use cleanupspec_bench::store::ArtifactStore as _;
     if let Err(e) = store.put(&out_name, json.as_bytes()) {
         eprintln!("cs-bench: cannot write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
-    if !store.persistent() {
-        // The store degraded to memory: the suite finished and the
-        // summary above is valid, but the artifact is not on disk —
-        // that is a failure for a file-emitting run.
-        eprintln!(
-            "cs-bench: cannot write {}: output directory is unwritable \
-             (results shown above are complete)",
-            args.out
-        );
         return ExitCode::FAILURE;
     }
     println!("wrote {} ({} bytes, schema {SCHEMA})", args.out, json.len());

@@ -3,7 +3,6 @@
 //! ```sh
 //! cs-chaos --matrix                         # fault-detection matrix, all 8 classes
 //! cs-chaos --matrix --max-seeds 128         # widen the per-fault seed scan
-//! cs-chaos --host-matrix                    # host-I/O fault recovery matrix
 //! cs-chaos --list-faults                    # print the fault taxonomy
 //! cs-chaos --fault drop-sefe-entry --seeds 32 --artifacts out/  # one-fault campaign
 //! cs-chaos --seeds 64 --panic-at 7 --artifacts out/  # crash-isolation self-test
@@ -12,28 +11,21 @@
 //!
 //! The matrix drives every [`FaultKind`] until it fires and is flagged by
 //! at least one detector (the three cs-smith oracles, the forward-progress
-//! watchdog, or the dual-run victim witness). `--host-matrix` turns the
-//! same discipline on the harness itself: every host-I/O fault class
-//! (ENOSPC, torn write, bit rot, read EIO, rename/fsync failure, crash
-//! after write) is injected under the hardened artifact store and must be
-//! retried, quarantined, degraded, or recovered on restart. Exit status:
-//! 0 when the mode's expectation holds (matrix: all faults detected;
-//! host matrix: all fault classes handled; fault campaign: at least one
-//! seed flagged; clean campaign: no violations and — with `--panic-at` —
-//! the planted panic isolated), 1 otherwise, 2 usage.
+//! watchdog, or the dual-run victim witness). Exit status: 0 when the
+//! mode's expectation holds (matrix: all faults detected; fault campaign:
+//! at least one seed flagged; clean campaign: no violations and — with
+//! `--panic-at` — the planted panic isolated), 1 otherwise, 2 usage.
 
 use cleanupspec_bench::chaos::{
     detection_matrix, probe_fault, render_matrix, run_chaos_campaign, ChaosOpts,
 };
 use cleanupspec_bench::cli::{parse_u64, CommonCli};
-use cleanupspec_bench::{host_fault_matrix, render_host_matrix};
 use cleanupspec_mem::fault::FaultKind;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     matrix: bool,
-    host_matrix: bool,
     list_faults: bool,
     fault: Option<FaultKind>,
     seeds: u64,
@@ -43,22 +35,16 @@ struct Args {
     artifacts: Option<PathBuf>,
     shrink: bool,
     panic_at: Option<u64>,
-    seed: u64,
     resume: Option<PathBuf>,
 }
 
 fn common_cli() -> CommonCli {
-    CommonCli::new()
-        .with_seeds()
-        .with_start()
-        .with_seed()
-        .with_resume()
+    CommonCli::new().with_seeds().with_start().with_resume()
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cs-chaos --matrix [--start N] [--max-seeds N]\n\
-         \x20      cs-chaos --host-matrix [--seed N]\n\
          \x20      cs-chaos --list-faults\n\
          \x20      cs-chaos [--fault NAME] [--seeds N] [--start N] [--artifacts DIR]\n\
          \x20               [--shrink] [--panic-at SEED] [--resume DIR]\n\
@@ -72,7 +58,6 @@ fn parse_args() -> Result<Args, ExitCode> {
     let mut common = common_cli();
     let mut args = Args {
         matrix: false,
-        host_matrix: false,
         list_faults: false,
         fault: None,
         seeds: 32,
@@ -82,7 +67,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         artifacts: None,
         shrink: false,
         panic_at: None,
-        seed: 0,
         resume: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -98,7 +82,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         }
         match a.as_str() {
             "--matrix" => args.matrix = true,
-            "--host-matrix" => args.host_matrix = true,
             "--list-faults" => args.list_faults = true,
             "--shrink" => args.shrink = true,
             "--fault" => match it.next().and_then(|v| FaultKind::parse(v)) {
@@ -129,7 +112,6 @@ fn parse_args() -> Result<Args, ExitCode> {
     }
     args.seeds = common.seeds_or(32);
     args.start = common.start_or_default();
-    args.seed = common.seed_or_default();
     args.resume = common.resume;
     Ok(args)
 }
@@ -196,29 +178,6 @@ fn replay(seed: u64, fault: Option<FaultKind>) -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-    }
-}
-
-/// Runs the host-I/O fault recovery matrix: every [`HostFaultKind`]
-/// injected under the hardened store, each row proving retry /
-/// quarantine / degradation / restart recovery with no journal
-/// corruption or lost completed-task results.
-///
-/// [`HostFaultKind`]: cleanupspec_bench::HostFaultKind
-fn host_matrix(seed: u64) -> ExitCode {
-    let rows = host_fault_matrix(seed);
-    print!("{}", render_host_matrix(&rows));
-    if rows.iter().all(|r| r.handled) {
-        println!("every host-I/O fault class is retried, quarantined, degraded, or recovered");
-        ExitCode::SUCCESS
-    } else {
-        for r in rows.iter().filter(|r| !r.handled) {
-            eprintln!(
-                "UNHANDLED: {} — this host fault class can corrupt or lose campaign state",
-                r.kind.name()
-            );
-        }
-        ExitCode::FAILURE
     }
 }
 
@@ -315,9 +274,6 @@ fn main() -> ExitCode {
     }
     if args.matrix {
         return matrix(&args);
-    }
-    if args.host_matrix {
-        return host_matrix(args.seed);
     }
     if let Some(seed) = args.replay {
         return replay(seed, args.fault);

@@ -26,7 +26,7 @@ use cleanupspec_bench::fuzz::{
     SeedVerdict,
 };
 use cleanupspec_bench::journal::Journal;
-use cleanupspec_bench::store::{shared_dir_store, ArtifactStore};
+use cleanupspec_bench::store::{ArtifactStore, DirStore};
 use cleanupspec_workloads::smith::{assemble_plan, plan, SmithPlan};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -229,7 +229,7 @@ fn main() -> ExitCode {
         }
     }
     let journal = args.resume.as_deref().and_then(|dir| {
-        let store = shared_dir_store(dir) as Arc<dyn ArtifactStore>;
+        let store = Arc::new(DirStore::new(dir)) as Arc<dyn ArtifactStore>;
         match Journal::open(store, &header) {
             Ok(j) => Some(j),
             Err(e) => {

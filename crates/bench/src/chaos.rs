@@ -32,7 +32,7 @@
 
 use crate::fuzz::{self, exec_env, judge, merged_image, ExecEnv, ModeRun, SeedVerdict, Violation};
 use crate::journal::{Journal, JournalHeader};
-use crate::store::{shared_dir_store, ArtifactStore};
+use crate::store::{ArtifactStore, DirStore};
 use cleanupspec::modes::SecurityMode;
 use cleanupspec_asm::disassemble;
 use cleanupspec_core::isa::Program;
@@ -480,11 +480,10 @@ fn capture_events(p: &SmithPlan, fault: Option<FaultKind>) -> String {
 /// (ring-buffer dump of the failing run; skipped for panicking seeds
 /// unless the replay survives its own `catch_unwind`).
 ///
-/// All writes go through the hardened [`ArtifactStore`] for `dir`
-/// (atomic write + checksum sidecar + retry); an unwritable directory
-/// degrades to in-memory artifacts with a one-line warning instead of
-/// aborting the campaign, in which case the returned path will not
-/// exist on disk.
+/// All writes go through a [`DirStore`] for `dir` (atomic write +
+/// checksum sidecar). A write that fails is reported with a one-line
+/// warning and the campaign goes on; the returned path then lacks that
+/// artifact.
 pub fn write_artifacts(
     dir: &Path,
     seed: u64,
@@ -492,7 +491,7 @@ pub fn write_artifacts(
     violations: &[Violation],
     do_shrink: bool,
 ) -> PathBuf {
-    let store = shared_dir_store(dir);
+    let store = DirStore::new(dir);
     let put = |name: &str, bytes: &[u8]| {
         if let Err(e) = store.put(name, bytes) {
             eprintln!("warning: cs-chaos artifact {name} not stored: {e}");
@@ -580,7 +579,7 @@ pub fn write_artifacts(
 /// an identical triage summary.
 pub fn run_chaos_campaign(opts: &ChaosOpts) -> ChaosSummary {
     let journal = opts.resume_dir.as_deref().and_then(|dir| {
-        let store = shared_dir_store(dir) as Arc<dyn ArtifactStore>;
+        let store = Arc::new(DirStore::new(dir)) as Arc<dyn ArtifactStore>;
         match Journal::open(store, &opts.journal_header()) {
             Ok(j) => Some(j),
             Err(e) => {

@@ -1080,13 +1080,15 @@ mod tests {
     #[test]
     fn resumed_campaign_replays_the_journal_and_matches_fresh_run() {
         use crate::journal::{Journal, JournalHeader};
-        use crate::store::MemStore;
+        use crate::store::DirStore;
         use std::sync::Arc;
         let header = JournalHeader {
             campaign: "fuzz-test".to_string(),
             config: "start=100 count=6".to_string(),
         };
-        let store: Arc<dyn crate::store::ArtifactStore> = Arc::new(MemStore::new());
+        let dir = std::env::temp_dir().join(format!("cs-fuzz-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store: Arc<dyn crate::store::ArtifactStore> = Arc::new(DirStore::new(&dir));
         let fresh = run_campaign(100, 6, 2);
         let j = Journal::open(Arc::clone(&store), &header).unwrap();
         let first = run_campaign_resumable(100, 6, 2, Some(&j));
@@ -1102,5 +1104,6 @@ mod tests {
             assert_eq!(r.panics, fresh.panics);
             assert_eq!(r.violations.len(), fresh.violations.len());
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

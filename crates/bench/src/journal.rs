@@ -1,9 +1,9 @@
-//! Crash-safe campaign journal and host-I/O fault matrix.
+//! Crash-safe campaign journal.
 //!
 //! A campaign (a `cs-bench` suite, a `cs-smith` fuzz sweep, a `cs-chaos`
 //! fault sweep) is a set of independent tasks. The journal makes the set
 //! *resumable*: as each task completes, one self-describing record is
-//! appended — through the hardened [`ArtifactStore`] — to an append-only
+//! appended — through the [`ArtifactStore`] — to an append-only
 //! `cs-journal-v1` stream, so a campaign killed mid-flight can be
 //! restarted with `--resume <dir>`, replay the journal, skip every
 //! completed task, re-enqueue the in-flight ones into the sweep executor,
@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use cleanupspec::snap::fnv1a64;
 use cleanupspec_obs::{JsonValue, JsonWriter};
 
-use crate::store::{ArtifactStore, DirStore, FaultFs, HostFaultKind, HostFaultPlan, StoreError};
+use crate::store::{ArtifactStore, StoreError};
 
 /// Journal format identifier, stored in every header record.
 pub const FORMAT: &str = "cs-journal-v1";
@@ -94,10 +94,98 @@ impl JournalHeader {
     }
 }
 
+/// Renders a task record body: the id, the payload digest (`vd`) and the
+/// payload itself, spliced in verbatim so replay can slice it back out.
+fn task_body(id: &str, payload: &str) -> String {
+    let mut w = JsonWriter::new();
+    w.open_object(None)
+        .string("kind", "task")
+        .string("id", id)
+        .string("vd", &format!("{:016x}", fnv1a64(payload.as_bytes())))
+        .close_object();
+    let head = w.finish();
+    let head = head.strip_suffix('}').expect("object body");
+    format!("{head}, \"payload\": {payload}}}")
+}
+
+/// What a journal's text holds for one campaign.
+#[derive(Default)]
+struct Replay {
+    /// Completed task payloads by id (first record wins). Empty unless
+    /// an intact header was seen.
+    completed: BTreeMap<String, String>,
+    /// Torn, corrupt or unrecognised lines skipped.
+    dropped: u64,
+    /// Whether an intact header for this campaign was found.
+    header: bool,
+}
+
+/// Replays a journal's lines for the campaign `header`. `Err` carries
+/// the foreign header's digest when the journal belongs to a different
+/// campaign. A torn or corrupt line, or a task record whose payload
+/// digest does not match, is dropped: its task is in-flight work to redo.
+fn replay(text: &str, header: &JournalHeader) -> Result<Replay, String> {
+    let mut r = Replay::default();
+    for line in text.lines().filter(|l| !l.is_empty()) {
+        let Some(body) = unframe(line) else {
+            r.dropped += 1;
+            continue;
+        };
+        let Ok(v) = JsonValue::parse(body) else {
+            r.dropped += 1;
+            continue;
+        };
+        match v.get("kind").and_then(JsonValue::as_str) {
+            Some("header") => {
+                let digest = v.get("digest").and_then(JsonValue::as_str);
+                if digest != Some(header.digest().as_str()) {
+                    return Err(digest.unwrap_or("<missing>").to_string());
+                }
+                r.header = true;
+            }
+            Some("task") => {
+                let (Some(id), Some(vd)) = (
+                    v.get("id").and_then(JsonValue::as_str),
+                    v.get("vd").and_then(JsonValue::as_str),
+                ) else {
+                    r.dropped += 1;
+                    continue;
+                };
+                // Recover the payload losslessly by slicing it out of the
+                // body text: everything after `"payload": ` minus the
+                // record's single closing brace. The digest check below
+                // catches any mis-slice.
+                let Some(payload) = body
+                    .split_once("\"payload\": ")
+                    .and_then(|(_, p)| p.strip_suffix('}'))
+                else {
+                    r.dropped += 1;
+                    continue;
+                };
+                if format!("{:016x}", fnv1a64(payload.as_bytes())) != vd {
+                    r.dropped += 1;
+                    continue;
+                }
+                r.completed
+                    .entry(id.to_string())
+                    .or_insert_with(|| payload.to_string());
+            }
+            _ => r.dropped += 1,
+        }
+    }
+    if !r.header {
+        r.completed.clear();
+    }
+    Ok(r)
+}
+
 struct JournalState {
     completed: BTreeMap<String, String>,
     replayed: u64,
     dropped: u64,
+    /// Set by the first failed append, so a full disk warns once rather
+    /// than once per task.
+    append_warned: bool,
 }
 
 /// An open campaign journal (see module docs). Thread-safe: sweep workers
@@ -119,101 +207,45 @@ impl Journal {
     ///   mix results is the caller's cue to pick another directory).
     /// - Unreadable journal → one-line warning, treated as fresh.
     pub fn open(store: Arc<dyn ArtifactStore>, header: &JournalHeader) -> Result<Journal, String> {
-        let mut state = JournalState {
-            completed: BTreeMap::new(),
-            replayed: 0,
-            dropped: 0,
-        };
-        let mut need_header = true;
+        let mut r = Replay::default();
         match store.get(FILE) {
             Err(StoreError::NotFound(_)) => {}
             Err(e) => {
                 eprintln!("warning: cannot read campaign journal ({e}); starting fresh");
             }
             Ok(bytes) => {
-                let text = String::from_utf8_lossy(&bytes);
-                let mut seen_header = false;
-                for line in text.lines() {
-                    if line.is_empty() {
-                        continue;
-                    }
-                    let Some(body) = unframe(line) else {
-                        state.dropped += 1;
-                        continue;
-                    };
-                    let Ok(v) = JsonValue::parse(body) else {
-                        state.dropped += 1;
-                        continue;
-                    };
-                    match v.get("kind").and_then(JsonValue::as_str) {
-                        Some("header") => {
-                            let digest = v.get("digest").and_then(JsonValue::as_str);
-                            if digest != Some(header.digest().as_str()) {
-                                return Err(format!(
-                                    "journal in {} belongs to a different campaign \
-                                     (digest {:?}, expected {}); refusing to resume",
-                                    store.label(),
-                                    digest.unwrap_or("<missing>"),
-                                    header.digest()
-                                ));
-                            }
-                            seen_header = true;
-                        }
-                        Some("task") => {
-                            let (Some(id), Some(vd)) = (
-                                v.get("id").and_then(JsonValue::as_str),
-                                v.get("vd").and_then(JsonValue::as_str),
-                            ) else {
-                                state.dropped += 1;
-                                continue;
-                            };
-                            // Recover the payload losslessly by slicing
-                            // it out of the body text: everything after
-                            // `"payload": ` minus the record's single
-                            // closing brace. The digest check below
-                            // catches any mis-slice.
-                            let Some(payload) = body
-                                .split_once("\"payload\": ")
-                                .and_then(|(_, p)| p.strip_suffix('}'))
-                            else {
-                                state.dropped += 1;
-                                continue;
-                            };
-                            if format!("{:016x}", fnv1a64(payload.as_bytes())) != vd {
-                                state.dropped += 1;
-                                continue;
-                            }
-                            state
-                                .completed
-                                .entry(id.to_string())
-                                .or_insert_with(|| payload.to_string());
-                        }
-                        _ => state.dropped += 1,
-                    }
-                }
-                if seen_header {
-                    need_header = false;
-                    state.replayed = state.completed.len() as u64;
-                } else if state.dropped > 0 {
+                r = replay(&String::from_utf8_lossy(&bytes), header).map_err(|digest| {
+                    format!(
+                        "journal in {} belongs to a different campaign \
+                         (digest {digest:?}, expected {}); refusing to resume",
+                        store.label(),
+                        header.digest()
+                    )
+                })?;
+                if !r.header && r.dropped > 0 {
                     eprintln!(
                         "warning: campaign journal in {} has no intact header \
                          ({} corrupt line(s) dropped); starting fresh",
                         store.label(),
-                        state.dropped
+                        r.dropped
                     );
-                    state.completed.clear();
-                    state.dropped = 0;
+                    r.dropped = 0;
                 }
             }
         }
-        if need_header {
+        if !r.header {
             if let Err(e) = store.append_line(FILE, &frame(&header.body())) {
                 eprintln!("warning: cannot start campaign journal: {e}");
             }
         }
         Ok(Journal {
             store,
-            state: Mutex::new(state),
+            state: Mutex::new(JournalState {
+                replayed: r.completed.len() as u64,
+                completed: r.completed,
+                dropped: r.dropped,
+                append_warned: false,
+            }),
         })
     }
 
@@ -229,7 +261,9 @@ impl Journal {
 
     /// Records a completed task. `payload` must be a single-line JSON
     /// document. Duplicate records for an id are ignored (first wins), so
-    /// replayed tasks can be re-recorded harmlessly.
+    /// replayed tasks can be re-recorded harmlessly. A failed append
+    /// warns once per journal; the task's result still reaches the
+    /// caller, it just will not replay.
     pub fn record(&self, id: &str, payload: &str) {
         debug_assert!(!payload.contains('\n'), "journal payloads are single-line");
         {
@@ -239,17 +273,12 @@ impl Journal {
             }
             st.completed.insert(id.to_string(), payload.to_string());
         }
-        let mut w = JsonWriter::new();
-        w.open_object(None)
-            .string("kind", "task")
-            .string("id", id)
-            .string("vd", &format!("{:016x}", fnv1a64(payload.as_bytes())))
-            .close_object();
-        let head = w.finish();
-        let head = head.strip_suffix('}').expect("object body");
-        let body = format!("{head}, \"payload\": {payload}}}");
-        if let Err(e) = self.store.append_line(FILE, &frame(&body)) {
-            eprintln!("warning: cannot append to campaign journal: {e}");
+        let line = frame(&task_body(id, payload));
+        if let Err(e) = self.store.append_line(FILE, &line) {
+            let mut st = self.state.lock().expect("journal lock");
+            if !std::mem::replace(&mut st.append_warned, true) {
+                eprintln!("warning: cannot append to campaign journal: {e}");
+            }
         }
     }
 
@@ -266,226 +295,46 @@ impl Journal {
 
 /// Read-only CLI preflight for `--resume <dir>`: validates that the
 /// directory's journal (if any) belongs to the campaign described by
-/// `header` and returns how many completed tasks it holds. CLIs exit
-/// with a clear diagnostic on `Err` instead of clobbering foreign data.
+/// `header` and returns how many completed tasks [`Journal::open`] will
+/// replay from it. CLIs exit with a clear diagnostic on `Err` instead of
+/// clobbering foreign data.
 pub fn check_resume(dir: &Path, header: &JournalHeader) -> Result<usize, String> {
     let path = dir.join(FILE);
-    let text = match std::fs::read_to_string(&path) {
+    let bytes = match std::fs::read(&path) {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
         Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-        Ok(t) => t,
+        Ok(b) => b,
     };
-    let mut seen_header = false;
-    let mut completed = std::collections::BTreeSet::new();
-    for line in text.lines() {
-        let Some(body) = unframe(line) else { continue };
-        let Ok(v) = JsonValue::parse(body) else {
-            continue;
-        };
-        match v.get("kind").and_then(JsonValue::as_str) {
-            Some("header") => {
-                if v.get("digest").and_then(JsonValue::as_str) != Some(header.digest().as_str()) {
-                    return Err(format!(
-                        "{} belongs to a different campaign (config changed?); \
-                         use a fresh directory or rerun with the original flags",
-                        path.display()
-                    ));
-                }
-                seen_header = true;
-            }
-            Some("task") => {
-                if let Some(id) = v.get("id").and_then(JsonValue::as_str) {
-                    completed.insert(id.to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    if seen_header {
-        Ok(completed.len())
-    } else {
-        Ok(0)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Host-I/O fault detection/recovery matrix
-// ---------------------------------------------------------------------------
-
-/// One row of the host fault matrix: what a fault class did and how the
-/// durable runtime absorbed it.
-#[derive(Debug, Clone)]
-pub struct HostMatrixRow {
-    /// The injected fault class.
-    pub kind: HostFaultKind,
-    /// How many times it fired during the scenario.
-    pub fires: u64,
-    /// How the runtime recovered (`retried`, `degraded`, `quarantined`,
-    /// `treated-as-miss`, `recovered-on-restart`).
-    pub recovery: String,
-    /// Whether the class was fully handled: fault fired, recovery path
-    /// engaged, no journal corruption, no completed-task result lost.
-    pub handled: bool,
-}
-
-/// Runs the standard durability scenario once per [`HostFaultKind`] and
-/// classifies the outcome — the host-side sibling of
-/// [`crate::detection_matrix`]. The scenario: a healthy campaign
-/// directory holding a completed artifact and a journal with one
-/// completed task, then a faulting store exercising the artifact-put,
-/// journal-append, and artifact-read sites. Every row additionally
-/// verifies two invariants against a fresh healthy store: the journal
-/// still replays the pre-fault completed task intact, and the pre-fault
-/// artifact is still served byte-for-byte.
-pub fn host_fault_matrix(seed: u64) -> Vec<HostMatrixRow> {
-    HostFaultKind::ALL
-        .iter()
-        .map(|&kind| run_host_fault_scenario(kind, seed))
-        .collect()
-}
-
-fn scenario_header() -> JournalHeader {
-    JournalHeader {
-        campaign: "host-fault-matrix".to_string(),
-        config: "scenario-v1".to_string(),
-    }
-}
-
-const PRIOR_PAYLOAD: &[u8] = b"{\"prior\": 1}";
-const T0_PAYLOAD: &str = "{\"verdict\": \"pass\"}";
-const T1_PAYLOAD: &str = "{\"verdict\": \"fail\"}";
-const TASK1_PAYLOAD: &[u8] = b"{\"task\": 1}";
-
-fn run_host_fault_scenario(kind: HostFaultKind, seed: u64) -> HostMatrixRow {
-    let dir = std::env::temp_dir().join(format!(
-        "cs-host-matrix-{}-{}-{:x}",
-        kind.name(),
-        std::process::id(),
-        fnv1a64(&seed.to_le_bytes())
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let header = scenario_header();
-
-    // Phase 1 — healthy history: one durable artifact and one journaled
-    // completed task, written before any fault exists.
-    {
-        let healthy: Arc<DirStore> = Arc::new(DirStore::new(&dir));
-        healthy.put("prior.json", PRIOR_PAYLOAD).expect("prior put");
-        let j = Journal::open(healthy, &header).expect("fresh journal");
-        j.record("t0", T0_PAYLOAD);
-    }
-
-    // Phase 2 — the same campaign continues on a faulting filesystem,
-    // exercising the put, journal-append, and read sites. The firing
-    // point is pinned per kind so the fault deterministically hits the
-    // artifact-put path (seeded plans are exercised separately by the
-    // durability property tests): operation 0 of each class belongs to
-    // the `task1.json` put / first read, except CrashAfterWrite, which
-    // fires after the first *complete* put (the payload is committed by
-    // write op 0's rename; write op 1 is its sidecar) so "crash then
-    // restart" has durable work to recover.
-    let fire_at = u64::from(kind == HostFaultKind::CrashAfterWrite);
-    let faulty = Arc::new(FaultFs::new(&dir, HostFaultPlan { kind, fire_at }));
-    let put_ok = faulty.put("task1.json", TASK1_PAYLOAD).is_ok();
-    let task1_back = faulty.get("task1.json");
-    let prior_back = faulty.get("prior.json");
-    if let Ok(j) = Journal::open(Arc::clone(&faulty) as Arc<dyn ArtifactStore>, &header) {
-        j.record("t1", T1_PAYLOAD);
-    }
-    let fires = faulty.fires();
-    let stats = faulty.stats();
-    let degraded = faulty.is_degraded();
-
-    // Phase 3 — restart against the same directory with a healthy store:
-    // nothing from the pre-fault history may be lost or corrupted.
-    let fresh: Arc<DirStore> = Arc::new(DirStore::new(&dir));
-    let t0_survives = Journal::open(Arc::clone(&fresh) as Arc<dyn ArtifactStore>, &header)
-        .map(|j| j.completed("t0").as_deref() == Some(T0_PAYLOAD))
-        .unwrap_or(false);
-    let prior_survives = fresh.get("prior.json").ok().as_deref() == Some(PRIOR_PAYLOAD);
-    let history_intact = t0_survives && prior_survives;
-
-    let (recovery, class_ok) = match kind {
-        HostFaultKind::TransientWrite | HostFaultKind::TornWrite => (
-            "retried",
-            stats.retried_ok >= 1
-                && !degraded
-                && put_ok
-                && task1_back.as_deref().ok() == Some(TASK1_PAYLOAD),
-        ),
-        HostFaultKind::Enospc | HostFaultKind::FsyncFail | HostFaultKind::RenameFail => (
-            "degraded",
-            // The store fell back to memory without losing the write.
-            degraded && put_ok && task1_back.as_deref().ok() == Some(TASK1_PAYLOAD),
-        ),
-        HostFaultKind::BitRot => (
-            "quarantined",
-            // The rot is silent at write time; the win is that no reader
-            // is ever served the corrupt bytes. Depending on where the
-            // rot landed it is either quarantined on first read or (for
-            // a rotten journal line) dropped by the CRC framing.
-            match fresh.get("task1.json") {
-                Err(StoreError::Corrupt { .. }) => true,
-                Err(StoreError::NotFound(_)) => true, // already quarantined above
-                Ok(bytes) => bytes == TASK1_PAYLOAD,  // rot hit a journal line instead
-                Err(_) => false,
-            },
-        ),
-        HostFaultKind::ReadEio => (
-            "treated-as-miss",
-            // Failed reads surface as errors (a cache miss to callers),
-            // never as fabricated data.
-            matches!(prior_back, Err(StoreError::Io { .. }))
-                || matches!(task1_back, Err(StoreError::Io { .. })),
-        ),
-        HostFaultKind::CrashAfterWrite => (
-            "recovered-on-restart",
-            // The pre-crash completed put is durable and the restart saw
-            // it (checked via history_intact plus the durable task1).
-            fresh.get("task1.json").ok().as_deref() == Some(TASK1_PAYLOAD),
-        ),
-    };
-
-    let row = HostMatrixRow {
-        kind,
-        fires,
-        recovery: recovery.to_string(),
-        handled: fires >= 1 && class_ok && history_intact,
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-    row
-}
-
-/// Renders the host fault matrix as an aligned text table (the
-/// `cs-chaos --host-matrix` output).
-pub fn render_host_matrix(rows: &[HostMatrixRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<18} {:>5}  {:<22} {}\n",
-        "fault", "fires", "recovery", "handled"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<18} {:>5}  {:<22} {}\n",
-            r.kind.name(),
-            r.fires,
-            r.recovery,
-            if r.handled { "yes" } else { "NO" }
-        ));
-    }
-    out
+    let r = replay(&String::from_utf8_lossy(&bytes), header).map_err(|_| {
+        format!(
+            "{} belongs to a different campaign (config changed?); \
+             use a fresh directory or rerun with the original flags",
+            path.display()
+        )
+    })?;
+    Ok(r.completed.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::MemStore;
+    use crate::store::DirStore;
+    use std::path::PathBuf;
 
     fn header() -> JournalHeader {
         JournalHeader {
             campaign: "test".to_string(),
             config: "a=1 b=2".to_string(),
         }
+    }
+
+    /// A fresh, empty campaign directory and a store over it.
+    fn dir_store(tag: &str) -> (PathBuf, Arc<dyn ArtifactStore>) {
+        let dir = std::env::temp_dir().join(format!("cs-journal-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let store: Arc<dyn ArtifactStore> = Arc::new(DirStore::new(&dir));
+        (dir, store)
     }
 
     #[test]
@@ -503,7 +352,7 @@ mod tests {
 
     #[test]
     fn fresh_journal_records_and_replays() {
-        let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
+        let (dir, store) = dir_store("fresh");
         let j = Journal::open(Arc::clone(&store), &header()).unwrap();
         assert_eq!(j.replayed(), 0);
         j.record("t1", "{\"v\": 1}");
@@ -516,11 +365,12 @@ mod tests {
         assert_eq!(j2.completed("t2").as_deref(), Some("{\"v\": 2}"));
         assert_eq!(j2.completed("t3"), None);
         assert_eq!(j2.dropped(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_tail_is_dropped_not_fatal() {
-        let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
+        let (dir, store) = dir_store("torn");
         let j = Journal::open(Arc::clone(&store), &header()).unwrap();
         j.record("t1", "{\"v\": 1}");
         j.record("t2", "{\"v\": 2}");
@@ -528,18 +378,18 @@ mod tests {
         // Simulate SIGKILL mid-append: truncate the last line.
         let mut bytes = store.get(FILE).unwrap();
         bytes.truncate(bytes.len() - 10);
-        // Rewrite the journal with a torn tail (MemStore put replaces).
-        store.put(FILE, &bytes).unwrap();
+        std::fs::write(dir.join(FILE), &bytes).unwrap();
         let j2 = Journal::open(store, &header()).unwrap();
         assert_eq!(j2.replayed(), 1, "t2's torn record treated as in-flight");
         assert!(j2.completed("t1").is_some());
         assert!(j2.completed("t2").is_none());
         assert_eq!(j2.dropped(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn mismatched_campaign_is_refused() {
-        let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
+        let (dir, store) = dir_store("mismatch");
         let j = Journal::open(Arc::clone(&store), &header()).unwrap();
         j.record("t1", "{\"v\": 1}");
         drop(j);
@@ -552,26 +402,25 @@ mod tests {
             Ok(_) => panic!("mismatched campaign must be refused"),
         };
         assert!(err.contains("different campaign"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn payload_with_nested_objects_survives_replay() {
-        let store: Arc<dyn ArtifactStore> = Arc::new(MemStore::new());
+        let (dir, store) = dir_store("nested");
         let j = Journal::open(Arc::clone(&store), &header()).unwrap();
         let payload = "{\"a\": {\"b\": [1, 2, {\"c\": \"x}y\"}]}, \"d\": 4}";
         j.record("deep", payload);
         drop(j);
         let j2 = Journal::open(store, &header()).unwrap();
         assert_eq!(j2.completed("deep").as_deref(), Some(payload));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn check_resume_counts_and_refuses() {
-        let dir = std::env::temp_dir().join(format!("cs-journal-preflight-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let (dir, store) = dir_store("preflight");
         assert_eq!(check_resume(&dir, &header()), Ok(0), "no journal yet");
-        let store: Arc<dyn ArtifactStore> = Arc::new(DirStore::new(&dir));
         let j = Journal::open(store, &header()).unwrap();
         j.record("t1", "{\"v\": 1}");
         j.record("t2", "{\"v\": 2}");
@@ -581,23 +430,40 @@ mod tests {
             campaign: "other".to_string(),
             config: String::new(),
         };
-        assert!(check_resume(&dir, &other).is_err());
+        let err = check_resume(&dir, &other).unwrap_err();
+        assert!(
+            err.contains("different campaign (config changed?)"),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn host_matrix_all_classes_handled() {
-        let rows = host_fault_matrix(42);
-        assert_eq!(rows.len(), HostFaultKind::ALL.len());
-        for r in &rows {
-            assert!(r.fires >= 1, "{} never fired", r.kind.name());
-            assert!(
-                r.handled,
-                "{} not handled: recovery={} fires={}",
-                r.kind.name(),
-                r.recovery,
-                r.fires
-            );
-        }
+    fn preflight_counts_exactly_what_open_replays() {
+        // A good record, its duplicate, a CRC-valid record whose payload
+        // digest is wrong, and a torn tail: only the first replays.
+        let (dir, store) = dir_store("one-parser");
+        let good = task_body("t1", "{\"v\": 1}");
+        let wrong_vd = task_body("t2", "{\"v\": 2}").replace(
+            &format!("{:016x}", fnv1a64(b"{\"v\": 2}")),
+            "0000000000000000",
+        );
+        let torn = frame(&task_body("t3", "{\"v\": 3}"));
+        let text = [
+            frame(&header().body()),
+            frame(&good),
+            frame(&good),
+            frame(&wrong_vd),
+            torn[..torn.len() - 7].to_string(),
+        ]
+        .join("\n");
+        std::fs::write(dir.join(FILE), text).unwrap();
+        let preflight = check_resume(&dir, &header()).unwrap();
+        let j = Journal::open(store, &header()).unwrap();
+        assert_eq!(preflight, 1);
+        assert_eq!(j.replayed(), 1);
+        assert_eq!(j.completed("t2"), None, "wrong payload digest replayed");
+        assert_eq!(j.dropped(), 2, "wrong-digest record and torn tail");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -38,13 +38,8 @@ pub use exec::{
     SweepFailure, SweepResult, SweepRun, TaskFailure,
 };
 pub use fuzz::{run_campaign, run_seed, shrink, CampaignResult, SeedVerdict, Violation};
-pub use journal::{
-    check_resume, host_fault_matrix, render_host_matrix, HostMatrixRow, Journal, JournalHeader,
-};
+pub use journal::{check_resume, Journal, JournalHeader};
 pub use runner::ExperimentConfig;
-pub use store::{
-    shared_dir_store, ArtifactStore, DirStore, FaultFs, HostFaultKind, HostFaultPlan, MemStore,
-    StoreError, StoreStats,
-};
+pub use store::{ArtifactStore, DirStore, StoreError, StoreStats};
 pub use suite::{run_suite, SuiteOptions, SuiteOutcome, SMOKE_WORKLOADS};
 pub use target::{resolve_programs, TARGET_HELP};

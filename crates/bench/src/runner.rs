@@ -5,12 +5,13 @@
 //! [`warmup_insts`]) and the checkpoint cache it shares with them.
 
 use crate::exec;
-use crate::store::ArtifactStore as _;
+use crate::store::{ArtifactStore as _, DirStore};
 use cleanupspec::modes::SecurityMode;
 use cleanupspec::sim::SimReport;
 use cleanupspec::snap::{read_checkpoint, write_checkpoint, CheckpointKey};
 use cleanupspec_workloads::spec::SpecWorkload;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Experiment sizing knobs.
 #[derive(Clone, Copy, Debug)]
@@ -82,13 +83,13 @@ pub fn checkpoint_key(
     }
 }
 
-/// Looks `key` up in the on-disk cs-snap cache, reading through the
-/// hardened [`crate::store::ArtifactStore`]: a checksum-mismatched file
-/// is quarantined, and snap-level corruption (format or key drift) is
-/// ignored (and reported) rather than trusted. Either way the lookup
-/// degrades to a cache miss.
+/// Looks `key` up in the on-disk cs-snap cache, reading through a
+/// [`DirStore`]: a checksum-mismatched file and snap-level corruption
+/// (format or key drift) are reported and ignored rather than trusted.
+/// Either way the lookup is a cache miss, and the re-simulated result
+/// replaces the bad entry.
 pub fn load_checkpoint(dir: &Path, key: &CheckpointKey) -> Option<SimReport> {
-    let store = crate::store::shared_dir_store(dir);
+    let store = DirStore::new(dir);
     let name = key.file_name();
     let bytes = match store.get(&name) {
         Ok(b) => b,
@@ -103,28 +104,30 @@ pub fn load_checkpoint(dir: &Path, key: &CheckpointKey) -> Option<SimReport> {
         Ok(report) => Some(report),
         Err(e) => {
             eprintln!("warning: ignoring checkpoint {name}: {e}");
-            // The file is well-formed enough to pass its byte checksum
-            // but fails snap-level validation — move it aside so it is
-            // not re-parsed on every lookup.
-            store.quarantine(&name, &e.to_string());
             None
         }
     }
 }
 
-/// Writes `report` into the cache through the hardened artifact store:
-/// unique tmp per writer + fsync + rename (so parallel sweep workers
-/// storing the same key can never clobber each other), a checksum
-/// sidecar, and in-memory degradation instead of a mid-sweep panic when
-/// the directory is unwritable. Unsuccessful runs are not cacheable and
-/// are silently skipped.
+/// Writes `report` into the cache through a [`DirStore`]: unique tmp
+/// per writer + fsync + rename (so parallel sweep workers storing the
+/// same key never clobber each other) and a checksum sidecar.
+/// Unsuccessful runs are not cacheable and are silently skipped. A
+/// failed write only costs the cache entry: the run goes on, and the
+/// first failure in the process warns that the directory is unwritable.
 pub fn store_checkpoint(dir: &Path, key: &CheckpointKey, report: &SimReport) {
+    static WARNED: AtomicBool = AtomicBool::new(false);
     let Some(text) = write_checkpoint(key, report) else {
         return;
     };
-    let store = crate::store::shared_dir_store(dir);
-    if let Err(e) = store.put(&key.file_name(), text.as_bytes()) {
-        eprintln!("warning: cannot write checkpoint {}: {e}", key.file_name());
+    if let Err(e) = DirStore::new(dir).put(&key.file_name(), text.as_bytes()) {
+        if !WARNED.swap(true, Ordering::Relaxed) {
+            eprintln!(
+                "warning: checkpoint directory {} is unwritable ({e}); \
+                 results are not cached",
+                dir.display()
+            );
+        }
     }
 }
 

@@ -1,61 +1,43 @@
-//! Hardened artifact storage for campaign outputs.
+//! Artifact storage for campaign outputs.
 //!
 //! Every durable by-product of a campaign — checkpoint cache entries,
 //! fuzz/chaos repro directories, BENCH documents, the campaign journal —
-//! historically reached disk through ad-hoc `std::fs::write` calls with
-//! three shared failure modes: torn files after a crash mid-write, silent
-//! data loss when the directory is unwritable, and a tmp-file name race
-//! between parallel sweep workers. This module centralises those writes
-//! behind one [`ArtifactStore`] trait with a hardened default backend
-//! ([`DirStore`]):
+//! reaches disk through one [`ArtifactStore`] trait, backed by
+//! [`DirStore`]:
 //!
-//! - **Atomicity** — unique tmp name per writer (pid + per-store counter),
-//!   write, fsync, rename. Readers never observe a half-written artifact.
+//! - **Atomicity** — `put` goes through [`cleanupspec_obs::atomic_write`]
+//!   (tmp name unique to the writer, write, fsync, rename), so readers
+//!   never observe a half-written artifact and parallel writers of one
+//!   name never share a tmp file.
 //! - **Integrity** — every `put` leaves an FNV-1a-64 sidecar
-//!   (`<name>.fnv`); `get` verifies it and *quarantines* a corrupt file
-//!   (moves it under `quarantine/`) instead of panicking or serving
-//!   garbage.
-//! - **Retry** — transient errors (`Interrupted` / `WouldBlock` /
-//!   `TimedOut`) are retried a bounded number of times with jittered
-//!   exponential backoff.
-//! - **Degradation** — the first hard write failure flips the store into
-//!   an in-memory overlay with a one-time warning; the campaign finishes
-//!   (results survive in memory for the final report) instead of dying
-//!   mid-flight on ENOSPC or a read-only directory.
+//!   (`<name>.fnv`); `get` verifies it and reports a mismatch as
+//!   [`StoreError::Corrupt`] instead of serving the bytes.
 //!
-//! For testing the recovery paths there is a deterministic, seedable
-//! host-I/O fault injector ([`FaultFs`]) — the host-side sibling of the
-//! simulator-level `cs-chaos` fault layer — which fires one of
-//! [`HostFaultKind`]'s fault classes at a chosen operation and lets the
-//! durability suite prove every class is retried, quarantined, or
-//! degraded (see `journal::host_fault_matrix`).
+//! A write either reaches disk or returns [`StoreError::Io`]; there is no
+//! retry and no in-memory fallback. Campaigns take seconds, so a failed
+//! write costs at most a rerun, and each caller decides whether it is
+//! fatal (see docs/DURABILITY.md).
 
-use std::collections::HashMap;
-use std::io::{self, ErrorKind, Write as _};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::io::{ErrorKind, Write as _};
+use std::path::PathBuf;
 
 use cleanupspec::snap::fnv1a64;
-
-/// Maximum write/read attempts for one logical operation (1 initial try
-/// plus up to 3 retries of transient errors).
-const MAX_ATTEMPTS: u32 = 4;
+use cleanupspec_obs::atomic_write;
 
 /// Errors surfaced by [`ArtifactStore`] operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// The named artifact does not exist.
     NotFound(String),
-    /// The artifact exists but failed its integrity check; it has been
-    /// quarantined and will not be served.
+    /// The artifact exists but failed its integrity check; its bytes are
+    /// not served. The next `put` of the name replaces it.
     Corrupt {
         /// Store-relative artifact name.
         name: String,
         /// Human-readable mismatch description.
         detail: String,
     },
-    /// A host I/O error that survived the bounded retry policy.
+    /// A host I/O error.
     Io {
         /// Store-relative artifact name.
         name: String,
@@ -64,12 +46,21 @@ pub enum StoreError {
     },
 }
 
+impl StoreError {
+    fn io(name: &str, e: std::io::Error) -> StoreError {
+        StoreError::Io {
+            name: name.to_string(),
+            detail: e.to_string(),
+        }
+    }
+}
+
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::NotFound(name) => write!(f, "artifact not found: {name}"),
             StoreError::Corrupt { name, detail } => {
-                write!(f, "artifact corrupt (quarantined): {name}: {detail}")
+                write!(f, "artifact corrupt: {name}: {detail}")
             }
             StoreError::Io { name, detail } => write!(f, "artifact I/O error: {name}: {detail}"),
         }
@@ -96,249 +87,68 @@ pub trait ArtifactStore: Send + Sync {
     fn get(&self, name: &str) -> Result<Vec<u8>, StoreError>;
 
     /// Appends `line` plus a trailing newline to the artifact, creating
-    /// it if absent. Used for the append-only campaign journal.
+    /// it if absent, and syncs it. Used for the append-only campaign
+    /// journal.
     fn append_line(&self, name: &str, line: &str) -> Result<(), StoreError>;
 
     /// Whether an artifact with this name currently exists.
     fn exists(&self, name: &str) -> bool;
 
-    /// Whether writes outlive the process (false once a store has
-    /// degraded to its in-memory overlay, and always false for
-    /// [`MemStore`]).
-    fn persistent(&self) -> bool;
+    /// Whether writes outlive the process: always `true`. Kept only
+    /// because perfbench's smith-campaign store wrapper overrides it.
+    fn persistent(&self) -> bool {
+        true
+    }
 
-    /// Moves a damaged artifact out of the way so it is never served
-    /// again. Best-effort; the default implementation does nothing.
+    /// Does nothing: a corrupt artifact is reported, never moved. Kept
+    /// only because perfbench's smith-campaign store wrapper overrides it.
     fn quarantine(&self, _name: &str, _reason: &str) {}
 }
 
-/// Aggregate counters describing how often the hardening machinery has
-/// engaged. Exposed so tests (and the host fault matrix) can classify a
-/// store's reaction to an injected fault.
+/// Counters perfbench's smith-campaign reports. Both are always 0: the
+/// store neither retries nor falls back to memory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Individual retry attempts performed after transient errors.
+    /// Retried operations (always 0).
     pub retries: u64,
-    /// Logical operations that ultimately succeeded after >= 1 retry.
-    pub retried_ok: u64,
-    /// Artifacts moved to `quarantine/` after an integrity mismatch.
-    pub quarantined: u64,
-    /// Writes absorbed by the in-memory overlay after degradation.
+    /// Writes kept only in memory (always 0).
     pub degraded_writes: u64,
-}
-
-// ---------------------------------------------------------------------------
-// Raw filesystem layer (real + fault-injecting)
-// ---------------------------------------------------------------------------
-
-/// The primitive host-filesystem operations [`DirStore`] is built from.
-/// Abstracted so [`FaultFs`] can interpose deterministic faults on each
-/// class of operation.
-trait RawFs: Send + Sync {
-    fn create_dir_all(&self, path: &Path) -> io::Result<()>;
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    fn fsync(&self, path: &Path) -> io::Result<()>;
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    fn remove(&self, path: &Path) -> io::Result<()>;
-    fn exists(&self, path: &Path) -> bool;
-}
-
-/// Pass-through [`RawFs`] over `std::fs`.
-struct RealFs;
-
-impl RawFs for RealFs {
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(path)
-    }
-
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        std::fs::write(path, bytes)
-    }
-
-    fn fsync(&self, path: &Path) -> io::Result<()> {
-        std::fs::File::open(path)?.sync_all()
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        std::fs::rename(from, to)
-    }
-
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        std::fs::read(path)
-    }
-
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(path)?;
-        f.write_all(bytes)
-    }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        std::fs::remove_file(path)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        path.exists()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// DirStore: the hardened directory-backed store
-// ---------------------------------------------------------------------------
-
-struct DirState {
-    /// `Some` once the store has degraded: all subsequent writes land in
-    /// this overlay instead of the filesystem.
-    overlay: Option<HashMap<String, Vec<u8>>>,
-    warned_degraded: bool,
-    stats: StoreStats,
-}
-
-/// The hardened directory-backed [`ArtifactStore`] (see module docs for
-/// the full policy: atomic writes, checksum sidecars, quarantine, retry,
-/// in-memory degradation).
-pub struct DirStore {
-    root: PathBuf,
-    fs: Arc<dyn RawFs>,
-    tmp_counter: AtomicU64,
-    state: Mutex<DirState>,
 }
 
 /// Suffix of the integrity sidecar written next to every artifact.
 pub const SIDECAR_SUFFIX: &str = ".fnv";
 
-/// Subdirectory (relative to the store root) where corrupt artifacts are
-/// moved instead of being served or deleted.
-pub const QUARANTINE_DIR: &str = "quarantine";
+/// The directory-backed [`ArtifactStore`] (see module docs).
+pub struct DirStore {
+    root: PathBuf,
+}
 
 impl DirStore {
-    /// Creates a store rooted at `root` over the real filesystem. The
-    /// directory is created lazily on first write.
+    /// Creates a store rooted at `root`. The directory is created on
+    /// first write.
     pub fn new(root: impl Into<PathBuf>) -> Self {
-        DirStore::with_fs(root.into(), Arc::new(RealFs))
+        DirStore { root: root.into() }
     }
 
-    fn with_fs(root: PathBuf, fs: Arc<dyn RawFs>) -> Self {
-        DirStore {
-            root,
-            fs,
-            tmp_counter: AtomicU64::new(0),
-            state: Mutex::new(DirState {
-                overlay: None,
-                warned_degraded: false,
-                stats: StoreStats::default(),
-            }),
-        }
-    }
-
-    /// Hardening counters accumulated so far.
+    /// Counters for perfbench (see [`StoreStats`]).
     pub fn stats(&self) -> StoreStats {
-        self.state.lock().expect("store lock").stats
-    }
-
-    /// Whether the store has fallen back to its in-memory overlay.
-    pub fn is_degraded(&self) -> bool {
-        self.state.lock().expect("store lock").overlay.is_some()
+        StoreStats::default()
     }
 
     fn path_of(&self, name: &str) -> PathBuf {
         self.root.join(name)
     }
 
-    /// Classifies an error as worth retrying. Short/torn writes
-    /// (`WriteZero`) are retryable because the atomic protocol rewrites
-    /// the whole tmp file from scratch on every attempt.
-    fn transient(kind: ErrorKind) -> bool {
-        matches!(
-            kind,
-            ErrorKind::Interrupted
-                | ErrorKind::WouldBlock
-                | ErrorKind::TimedOut
-                | ErrorKind::WriteZero
-        )
+    fn sidecar_of(&self, name: &str) -> PathBuf {
+        self.path_of(&format!("{name}{SIDECAR_SUFFIX}"))
     }
 
-    /// Runs `op` with bounded retry of transient errors. Backoff is
-    /// exponential from 200 us with a small deterministic jitter (hashed
-    /// from the operation description) so parallel workers decorrelate
-    /// without a shared clock or RNG.
-    fn with_retry<T>(&self, desc: &str, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
-        let mut attempt: u32 = 0;
-        loop {
-            match op() {
-                Ok(v) => {
-                    if attempt > 0 {
-                        self.state.lock().expect("store lock").stats.retried_ok += 1;
-                    }
-                    return Ok(v);
-                }
-                Err(e) if Self::transient(e.kind()) && attempt + 1 < MAX_ATTEMPTS => {
-                    self.state.lock().expect("store lock").stats.retries += 1;
-                    let jitter = fnv1a64(format!("{desc}#{attempt}").as_bytes()) % 100;
-                    let backoff_us = (200u64 << attempt) + jitter;
-                    std::thread::sleep(std::time::Duration::from_micros(backoff_us));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
+    /// Creates `path`'s parent directory chain.
+    fn ensure_parent(path: &std::path::Path) -> std::io::Result<()> {
+        match path.parent() {
+            Some(parent) => std::fs::create_dir_all(parent),
+            None => Ok(()),
         }
-    }
-
-    /// Ensures `path`'s parent directory chain exists.
-    fn ensure_parent(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                self.with_retry("mkdir", || self.fs.create_dir_all(parent))?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Write + fsync + rename with a tmp name unique to this writer
-    /// (pid + store-local counter), so parallel sweep workers storing the
-    /// same artifact can never clobber each other's tmp file.
-    fn atomic_write(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
-        let path = self.path_of(name);
-        self.ensure_parent(&path)?;
-        let leaf = path
-            .file_name()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "artifact".to_string());
-        let unique = self.tmp_counter.fetch_add(1, Ordering::Relaxed);
-        let tmp = path.with_file_name(format!(".{leaf}.tmp-{}-{unique}", std::process::id()));
-        let result = self.with_retry(name, || {
-            self.fs.write(&tmp, bytes)?;
-            self.fs.fsync(&tmp)?;
-            self.fs.rename(&tmp, &path)
-        });
-        if result.is_err() {
-            let _ = self.fs.remove(&tmp);
-        }
-        result
-    }
-
-    /// Flips the store into in-memory mode (idempotent), warning once.
-    fn degrade(&self, why: &str) {
-        let mut st = self.state.lock().expect("store lock");
-        if st.overlay.is_none() {
-            st.overlay = Some(HashMap::new());
-        }
-        if !st.warned_degraded {
-            st.warned_degraded = true;
-            eprintln!(
-                "warning: artifact store {} is unwritable ({why}); \
-                 continuing with in-memory results (they will not survive this process)",
-                self.root.display()
-            );
-        }
-    }
-
-    fn sidecar_name(name: &str) -> String {
-        format!("{name}{SIDECAR_SUFFIX}")
     }
 }
 
@@ -348,68 +158,40 @@ impl ArtifactStore for DirStore {
     }
 
     fn put(&self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        {
-            let mut st = self.state.lock().expect("store lock");
-            if let Some(overlay) = st.overlay.as_mut() {
-                overlay.insert(name.to_string(), bytes.to_vec());
-                st.stats.degraded_writes += 1;
-                return Ok(());
-            }
-        }
-        if let Err(e) = self.atomic_write(name, bytes) {
-            self.degrade(&e.to_string());
-            let mut st = self.state.lock().expect("store lock");
-            if let Some(overlay) = st.overlay.as_mut() {
-                overlay.insert(name.to_string(), bytes.to_vec());
-                st.stats.degraded_writes += 1;
-            }
-            return Ok(());
-        }
+        let path = self.path_of(name);
+        Self::ensure_parent(&path)
+            .and_then(|()| atomic_write(&path, bytes))
+            .map_err(|e| StoreError::io(name, e))?;
         // The payload is durable; now leave its checksum sidecar. A
-        // sidecar failure must not lose the payload, but a *stale*
-        // sidecar would quarantine the fresh payload on the next read, so
-        // remove any previous one if the new one cannot be written.
+        // sidecar failure must not fail the put, but a *stale* sidecar
+        // would make the fresh payload read as corrupt, so remove any
+        // previous one if the new one cannot be written.
+        let sidecar = self.sidecar_of(name);
         let digest = format!("{:016x}", fnv1a64(bytes));
-        let sidecar = Self::sidecar_name(name);
-        if self.atomic_write(&sidecar, digest.as_bytes()).is_err() {
-            let _ = self.fs.remove(&self.path_of(&sidecar));
+        if atomic_write(&sidecar, digest.as_bytes()).is_err() {
+            let _ = std::fs::remove_file(&sidecar);
         }
         Ok(())
     }
 
     fn get(&self, name: &str) -> Result<Vec<u8>, StoreError> {
-        {
-            let st = self.state.lock().expect("store lock");
-            if let Some(overlay) = st.overlay.as_ref() {
-                if let Some(bytes) = overlay.get(name) {
-                    return Ok(bytes.clone());
-                }
-            }
-        }
-        let path = self.path_of(name);
-        let payload = self.with_retry(name, || self.fs.read(&path)).map_err(|e| {
+        let payload = std::fs::read(self.path_of(name)).map_err(|e| {
             if e.kind() == ErrorKind::NotFound {
                 StoreError::NotFound(name.to_string())
             } else {
-                StoreError::Io {
-                    name: name.to_string(),
-                    detail: e.to_string(),
-                }
+                StoreError::io(name, e)
             }
         })?;
         // Verify the sidecar when one is present. A missing (or
-        // unreadable) sidecar is tolerated: journals and pre-hardening
-        // artifacts legitimately have none.
-        let sidecar_path = self.path_of(&Self::sidecar_name(name));
-        if let Ok(sidecar) = self.fs.read(&sidecar_path) {
+        // unreadable) sidecar is tolerated: journals and artifacts
+        // written by other tools legitimately have none.
+        if let Ok(sidecar) = std::fs::read(self.sidecar_of(name)) {
             let want = String::from_utf8_lossy(&sidecar).trim().to_string();
             let got = format!("{:016x}", fnv1a64(&payload));
             if want.len() == 16 && want != got {
-                let detail = format!("checksum mismatch: sidecar {want}, payload {got}");
-                self.quarantine(name, &detail);
                 return Err(StoreError::Corrupt {
                     name: name.to_string(),
-                    detail,
+                    detail: format!("checksum mismatch: sidecar {want}, payload {got}"),
                 });
             }
         }
@@ -417,547 +199,24 @@ impl ArtifactStore for DirStore {
     }
 
     fn append_line(&self, name: &str, line: &str) -> Result<(), StoreError> {
-        let framed = format!("{line}\n");
-        {
-            let mut st = self.state.lock().expect("store lock");
-            if let Some(overlay) = st.overlay.as_mut() {
-                overlay
-                    .entry(name.to_string())
-                    .or_default()
-                    .extend_from_slice(framed.as_bytes());
-                st.stats.degraded_writes += 1;
-                return Ok(());
-            }
-        }
         let path = self.path_of(name);
-        let appended = self.ensure_parent(&path).and_then(|()| {
-            self.with_retry(name, || {
-                self.fs.append(&path, framed.as_bytes())?;
-                self.fs.fsync(&path)
+        // One `write_all` of the framed line: O_APPEND keeps concurrent
+        // appenders' lines whole.
+        let framed = format!("{line}\n");
+        Self::ensure_parent(&path)
+            .and_then(|()| {
+                let mut f = std::fs::OpenOptions::new()
+                    .append(true)
+                    .create(true)
+                    .open(&path)?;
+                f.write_all(framed.as_bytes())?;
+                f.sync_all()
             })
-        });
-        if let Err(e) = appended {
-            // The append may or may not have reached the disk (e.g. the
-            // fsync failed after a successful append). Seed the overlay
-            // from whatever is durably on disk, truncated to the last
-            // complete line, and only re-add our line if it is not
-            // already the tail — so degradation neither loses nor
-            // duplicates a journal record.
-            self.degrade(&e.to_string());
-            let mut seed = self.fs.read(&path).unwrap_or_default();
-            if let Some(last_nl) = seed.iter().rposition(|&b| b == b'\n') {
-                seed.truncate(last_nl + 1);
-            } else {
-                seed.clear();
-            }
-            if !seed.ends_with(framed.as_bytes()) {
-                seed.extend_from_slice(framed.as_bytes());
-            }
-            let mut st = self.state.lock().expect("store lock");
-            if let Some(overlay) = st.overlay.as_mut() {
-                overlay.insert(name.to_string(), seed);
-                st.stats.degraded_writes += 1;
-            }
-        }
-        Ok(())
+            .map_err(|e| StoreError::io(name, e))
     }
 
     fn exists(&self, name: &str) -> bool {
-        {
-            let st = self.state.lock().expect("store lock");
-            if let Some(overlay) = st.overlay.as_ref() {
-                if overlay.contains_key(name) {
-                    return true;
-                }
-            }
-        }
-        self.fs.exists(&self.path_of(name))
-    }
-
-    fn persistent(&self) -> bool {
-        !self.is_degraded()
-    }
-
-    fn quarantine(&self, name: &str, reason: &str) {
-        let qdir = self.root.join(QUARANTINE_DIR);
-        let flat = name.replace(['/', '\\'], "__");
-        let _ = self.fs.create_dir_all(&qdir);
-        let _ = self.fs.rename(&self.path_of(name), &qdir.join(&flat));
-        let _ = self.fs.rename(
-            &self.path_of(&Self::sidecar_name(name)),
-            &qdir.join(format!("{flat}{SIDECAR_SUFFIX}")),
-        );
-        self.state.lock().expect("store lock").stats.quarantined += 1;
-        eprintln!(
-            "warning: quarantined corrupt artifact {name} in {} ({reason})",
-            self.root.display()
-        );
-    }
-}
-
-/// Returns the process-wide shared [`DirStore`] for `dir`, creating it on
-/// first use. Sharing one store per directory gives all writers (sweep
-/// workers, the journal, repro dumps) a common degradation state and a
-/// single one-time warning instead of one per call site.
-pub fn shared_dir_store(dir: &Path) -> Arc<DirStore> {
-    static REGISTRY: OnceLock<Mutex<HashMap<PathBuf, Arc<DirStore>>>> = OnceLock::new();
-    let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = registry.lock().expect("store registry lock");
-    map.entry(dir.to_path_buf())
-        .or_insert_with(|| Arc::new(DirStore::new(dir)))
-        .clone()
-}
-
-// ---------------------------------------------------------------------------
-// MemStore: pure in-memory store (tests, explicit non-durable runs)
-// ---------------------------------------------------------------------------
-
-/// A purely in-memory [`ArtifactStore`] — nothing survives the process.
-/// Used in tests and as the conceptual target of [`DirStore`]'s
-/// degradation mode.
-#[derive(Default)]
-pub struct MemStore {
-    map: Mutex<HashMap<String, Vec<u8>>>,
-}
-
-impl MemStore {
-    /// Creates an empty in-memory store.
-    pub fn new() -> Self {
-        MemStore::default()
-    }
-}
-
-impl ArtifactStore for MemStore {
-    fn label(&self) -> String {
-        "(in-memory)".to_string()
-    }
-
-    fn put(&self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        self.map
-            .lock()
-            .expect("mem store lock")
-            .insert(name.to_string(), bytes.to_vec());
-        Ok(())
-    }
-
-    fn get(&self, name: &str) -> Result<Vec<u8>, StoreError> {
-        self.map
-            .lock()
-            .expect("mem store lock")
-            .get(name)
-            .cloned()
-            .ok_or_else(|| StoreError::NotFound(name.to_string()))
-    }
-
-    fn append_line(&self, name: &str, line: &str) -> Result<(), StoreError> {
-        let mut map = self.map.lock().expect("mem store lock");
-        let entry = map.entry(name.to_string()).or_default();
-        entry.extend_from_slice(line.as_bytes());
-        entry.push(b'\n');
-        Ok(())
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.map.lock().expect("mem store lock").contains_key(name)
-    }
-
-    fn persistent(&self) -> bool {
-        false
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Host-I/O fault injection
-// ---------------------------------------------------------------------------
-
-/// The host-I/O fault classes [`FaultFs`] can inject — the durability
-/// suite proves each one is retried, quarantined, or degraded without
-/// corrupting the journal or losing completed-task results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HostFaultKind {
-    /// One-shot `EINTR`-style failure on a write; must be absorbed by
-    /// the retry policy.
-    TransientWrite,
-    /// Persistent "no space left on device" on every write from the
-    /// firing point on; must degrade to the in-memory overlay.
-    Enospc,
-    /// One-shot torn write: half the payload lands, then the write
-    /// fails. The atomic tmp+rename protocol must keep the torn bytes
-    /// from ever appearing under the final name.
-    TornWrite,
-    /// Silent single-byte corruption of a payload that reports success;
-    /// must be caught by the checksum sidecar and quarantined on read.
-    BitRot,
-    /// Persistent `EIO` on reads; must be treated as a cache miss, never
-    /// served as data.
-    ReadEio,
-    /// Persistent rename failure (the commit point of an atomic write);
-    /// must degrade without exposing a partial artifact.
-    RenameFail,
-    /// Persistent fsync failure; must degrade (durability can no longer
-    /// be promised) without losing the in-flight artifact.
-    FsyncFail,
-    /// The write at the firing point completes durably, then the
-    /// "machine" crashes: every later operation fails. A restart against
-    /// the same directory must recover all completed work.
-    CrashAfterWrite,
-}
-
-impl HostFaultKind {
-    /// Every injectable fault class, in matrix order.
-    pub const ALL: [HostFaultKind; 8] = [
-        HostFaultKind::TransientWrite,
-        HostFaultKind::Enospc,
-        HostFaultKind::TornWrite,
-        HostFaultKind::BitRot,
-        HostFaultKind::ReadEio,
-        HostFaultKind::RenameFail,
-        HostFaultKind::FsyncFail,
-        HostFaultKind::CrashAfterWrite,
-    ];
-
-    /// Stable lowercase identifier (CLI and matrix rows).
-    pub fn name(self) -> &'static str {
-        match self {
-            HostFaultKind::TransientWrite => "transient-write",
-            HostFaultKind::Enospc => "enospc",
-            HostFaultKind::TornWrite => "torn-write",
-            HostFaultKind::BitRot => "bit-rot",
-            HostFaultKind::ReadEio => "read-eio",
-            HostFaultKind::RenameFail => "rename-fail",
-            HostFaultKind::FsyncFail => "fsync-fail",
-            HostFaultKind::CrashAfterWrite => "crash-after-write",
-        }
-    }
-
-    /// Whether the fault keeps firing once triggered (vs. one-shot).
-    fn persistent_fault(self) -> bool {
-        matches!(
-            self,
-            HostFaultKind::Enospc
-                | HostFaultKind::ReadEio
-                | HostFaultKind::RenameFail
-                | HostFaultKind::FsyncFail
-        )
-    }
-
-    fn op_class(self) -> OpClass {
-        match self {
-            HostFaultKind::TransientWrite
-            | HostFaultKind::Enospc
-            | HostFaultKind::TornWrite
-            | HostFaultKind::BitRot
-            | HostFaultKind::CrashAfterWrite => OpClass::Write,
-            HostFaultKind::ReadEio => OpClass::Read,
-            HostFaultKind::RenameFail => OpClass::Rename,
-            HostFaultKind::FsyncFail => OpClass::Fsync,
-        }
-    }
-
-    fn error(self) -> io::Error {
-        match self {
-            HostFaultKind::TransientWrite => {
-                io::Error::new(ErrorKind::Interrupted, "interrupted system call (injected)")
-            }
-            HostFaultKind::Enospc => io::Error::other("ENOSPC: no space left on device (injected)"),
-            HostFaultKind::ReadEio => io::Error::other("EIO: input/output error (injected)"),
-            HostFaultKind::RenameFail => io::Error::other("rename failed (injected)"),
-            HostFaultKind::FsyncFail => io::Error::other("fsync failed (injected)"),
-            HostFaultKind::TornWrite => {
-                io::Error::new(ErrorKind::WriteZero, "torn write (injected)")
-            }
-            HostFaultKind::BitRot | HostFaultKind::CrashAfterWrite => {
-                io::Error::other("unreachable: silent fault kinds carry no error")
-            }
-        }
-    }
-}
-
-/// When a planned fault fires: at the `fire_at`-th opportunity (0-based)
-/// of the fault's operation class.
-#[derive(Debug, Clone, Copy)]
-pub struct HostFaultPlan {
-    /// Which fault class to inject.
-    pub kind: HostFaultKind,
-    /// 0-based index of the operation (within the kind's class) at which
-    /// the fault first fires.
-    pub fire_at: u64,
-}
-
-impl HostFaultPlan {
-    /// Derives a deterministic firing point from a campaign seed, giving
-    /// property tests cheap plan diversity without a host RNG.
-    pub fn seeded(kind: HostFaultKind, seed: u64) -> Self {
-        let h = fnv1a64(format!("{}:{seed}", kind.name()).as_bytes());
-        HostFaultPlan {
-            kind,
-            fire_at: h % 2,
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-enum OpClass {
-    Write,
-    Read,
-    Rename,
-    Fsync,
-}
-
-impl OpClass {
-    fn index(self) -> usize {
-        match self {
-            OpClass::Write => 0,
-            OpClass::Read => 1,
-            OpClass::Rename => 2,
-            OpClass::Fsync => 3,
-        }
-    }
-}
-
-/// What the injector tells the faulty filesystem to do for one operation.
-enum Action {
-    Pass,
-    Fail(io::Error),
-    Torn,
-    Rot,
-    CrashArm,
-}
-
-#[derive(Default)]
-struct InjectorState {
-    /// Opportunities seen per op class (write/read/rename/fsync).
-    counts: [u64; 4],
-    fired: u64,
-    done: bool,
-    crashed: bool,
-}
-
-/// Deterministic fault scheduler shared between a [`FaultFs`] and the
-/// test observing it.
-pub struct Injector {
-    plan: HostFaultPlan,
-    state: Mutex<InjectorState>,
-}
-
-impl Injector {
-    fn new(plan: HostFaultPlan) -> Self {
-        Injector {
-            plan,
-            state: Mutex::new(InjectorState::default()),
-        }
-    }
-
-    fn tick(&self, class: OpClass) -> Action {
-        let mut st = self.state.lock().expect("injector lock");
-        if st.crashed {
-            return Action::Fail(io::Error::other("simulated post-write crash (injected)"));
-        }
-        let idx = st.counts[class.index()];
-        st.counts[class.index()] += 1;
-        let kind = self.plan.kind;
-        if kind.op_class().index() != class.index() {
-            return Action::Pass;
-        }
-        if st.done && !kind.persistent_fault() {
-            return Action::Pass;
-        }
-        if idx < self.plan.fire_at {
-            return Action::Pass;
-        }
-        st.fired += 1;
-        st.done = true;
-        match kind {
-            HostFaultKind::TornWrite => Action::Torn,
-            HostFaultKind::BitRot => Action::Rot,
-            HostFaultKind::CrashAfterWrite => Action::CrashArm,
-            other => Action::Fail(other.error()),
-        }
-    }
-
-    fn arm_crash(&self) {
-        self.state.lock().expect("injector lock").crashed = true;
-    }
-
-    /// How many times the planned fault has fired so far.
-    pub fn fires(&self) -> u64 {
-        self.state.lock().expect("injector lock").fired
-    }
-
-    /// Total operations (across all classes) the injector has observed.
-    pub fn opportunities(&self) -> u64 {
-        self.state
-            .lock()
-            .expect("injector lock")
-            .counts
-            .iter()
-            .sum()
-    }
-}
-
-/// [`RawFs`] wrapper that consults an [`Injector`] before every
-/// operation.
-struct FaultyFs {
-    inner: Arc<dyn RawFs>,
-    inj: Arc<Injector>,
-}
-
-impl FaultyFs {
-    fn write_like(&self, path: &Path, bytes: &[u8], append: bool) -> io::Result<()> {
-        let run = |payload: &[u8]| -> io::Result<()> {
-            if append {
-                self.inner.append(path, payload)
-            } else {
-                self.inner.write(path, payload)
-            }
-        };
-        match self.inj.tick(OpClass::Write) {
-            Action::Pass => run(bytes),
-            Action::Fail(e) => Err(e),
-            Action::Torn => {
-                let _ = run(&bytes[..bytes.len() / 2]);
-                Err(HostFaultKind::TornWrite.error())
-            }
-            Action::Rot => {
-                let mut rotten = bytes.to_vec();
-                let mid = rotten.len() / 2;
-                if let Some(b) = rotten.get_mut(mid) {
-                    *b ^= 0x40;
-                }
-                run(&rotten)
-            }
-            Action::CrashArm => {
-                run(bytes)?;
-                self.inj.arm_crash();
-                Ok(())
-            }
-        }
-    }
-}
-
-impl RawFs for FaultyFs {
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        // Directory creation is not a modelled fault site.
-        self.inner.create_dir_all(path)
-    }
-
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.write_like(path, bytes, false)
-    }
-
-    fn fsync(&self, path: &Path) -> io::Result<()> {
-        match self.inj.tick(OpClass::Fsync) {
-            Action::Pass => self.inner.fsync(path),
-            Action::Fail(e) => Err(e),
-            // Torn/Rot/CrashArm only apply to writes; treat as pass-through.
-            _ => self.inner.fsync(path),
-        }
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        match self.inj.tick(OpClass::Rename) {
-            Action::Pass => self.inner.rename(from, to),
-            Action::Fail(e) => Err(e),
-            _ => self.inner.rename(from, to),
-        }
-    }
-
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        match self.inj.tick(OpClass::Read) {
-            Action::Pass => self.inner.read(path),
-            Action::Fail(e) => Err(e),
-            _ => self.inner.read(path),
-        }
-    }
-
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.write_like(path, bytes, true)
-    }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        // Cleanup of tmp files is best-effort everywhere; not a fault site.
-        self.inner.remove(path)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        self.inner.exists(path)
-    }
-}
-
-/// A [`DirStore`] whose host filesystem injects one planned fault — the
-/// deterministic, seedable host-I/O chaos backend behind
-/// `cs-chaos --host-matrix` and the durability property tests.
-pub struct FaultFs {
-    store: DirStore,
-    inj: Arc<Injector>,
-}
-
-impl FaultFs {
-    /// Creates a faulting store rooted at `root` with the given plan.
-    pub fn new(root: impl Into<PathBuf>, plan: HostFaultPlan) -> Self {
-        let inj = Arc::new(Injector::new(plan));
-        let fs = Arc::new(FaultyFs {
-            inner: Arc::new(RealFs),
-            inj: Arc::clone(&inj),
-        });
-        FaultFs {
-            store: DirStore::with_fs(root.into(), fs),
-            inj,
-        }
-    }
-
-    /// How many times the planned fault has fired.
-    pub fn fires(&self) -> u64 {
-        self.inj.fires()
-    }
-
-    /// Total raw-filesystem operations observed.
-    pub fn opportunities(&self) -> u64 {
-        self.inj.opportunities()
-    }
-
-    /// Hardening counters of the wrapped store.
-    pub fn stats(&self) -> StoreStats {
-        self.store.stats()
-    }
-
-    /// Whether the wrapped store has degraded to its in-memory overlay.
-    pub fn is_degraded(&self) -> bool {
-        self.store.is_degraded()
-    }
-}
-
-impl ArtifactStore for FaultFs {
-    fn label(&self) -> String {
-        format!(
-            "{} (faults: {})",
-            self.store.label(),
-            self.inj.plan.kind.name()
-        )
-    }
-
-    fn put(&self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        self.store.put(name, bytes)
-    }
-
-    fn get(&self, name: &str) -> Result<Vec<u8>, StoreError> {
-        self.store.get(name)
-    }
-
-    fn append_line(&self, name: &str, line: &str) -> Result<(), StoreError> {
-        self.store.append_line(name, line)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.store.exists(name)
-    }
-
-    fn persistent(&self) -> bool {
-        self.store.persistent()
-    }
-
-    fn quarantine(&self, name: &str, reason: &str) {
-        self.store.quarantine(name, reason)
+        self.path_of(name).exists()
     }
 }
 
@@ -989,8 +248,8 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_payload_is_quarantined_not_served() {
-        let d = tmpdir("quarantine");
+    fn corrupt_payload_is_reported_not_served() {
+        let d = tmpdir("corrupt");
         let s = DirStore::new(&d);
         s.put("r.json", b"good bytes").unwrap();
         std::fs::write(d.join("r.json"), b"evil bytes").unwrap();
@@ -998,14 +257,9 @@ mod tests {
             Err(StoreError::Corrupt { .. }) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        assert!(!d.join("r.json").exists(), "payload moved out of the way");
-        assert!(
-            d.join(QUARANTINE_DIR).join("r.json").exists(),
-            "payload preserved in quarantine for post-mortem"
-        );
-        assert_eq!(s.stats().quarantined, 1);
-        // A quarantined artifact reads as missing afterwards.
-        assert!(matches!(s.get("r.json"), Err(StoreError::NotFound(_))));
+        // The next put of the name replaces the corrupt artifact.
+        s.put("r.json", b"fresh bytes").unwrap();
+        assert_eq!(s.get("r.json").unwrap(), b"fresh bytes");
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -1019,140 +273,61 @@ mod tests {
     }
 
     #[test]
-    fn unwritable_root_degrades_to_memory_and_keeps_results() {
+    fn torn_tmp_file_next_to_a_complete_artifact_is_ignored() {
+        // A writer killed between write and rename leaves its tmp file;
+        // readers only ever see the last complete artifact.
+        let d = tmpdir("torn-tmp");
+        let s = DirStore::new(&d);
+        s.put("a.json", b"complete artifact").unwrap();
+        std::fs::write(d.join(".a.json.tmp-4242-7"), b"compl").unwrap();
+        assert_eq!(s.get("a.json").unwrap(), b"complete artifact");
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn unwritable_root_returns_io_errors() {
         // Running as root makes chmod-based readonly dirs useless, so
         // force the failure structurally: the "directory" is a file.
-        let d = tmpdir("degrade");
+        let d = tmpdir("blocked");
         let root = d.join("blocked");
         std::fs::write(&root, b"i am a file, not a directory").unwrap();
         let s = DirStore::new(root.join("sub"));
-        s.put("x.json", b"payload").unwrap();
-        assert!(s.is_degraded());
-        assert!(!s.persistent());
-        assert_eq!(s.get("x.json").unwrap(), b"payload");
-        assert!(s.stats().degraded_writes >= 1);
-        // Appends keep working in memory too.
-        s.append_line("j.csj", "line-1").unwrap();
-        s.append_line("j.csj", "line-2").unwrap();
-        assert_eq!(s.get("j.csj").unwrap(), b"line-1\nline-2\n");
+        assert!(matches!(
+            s.put("x.json", b"payload"),
+            Err(StoreError::Io { .. })
+        ));
+        assert!(matches!(
+            s.append_line("j.csj", "line-1"),
+            Err(StoreError::Io { .. })
+        ));
+        assert!(!s.exists("x.json"));
         let _ = std::fs::remove_dir_all(&d);
     }
 
     #[test]
-    fn transient_write_fault_is_retried() {
-        let d = tmpdir("transient");
-        let f = FaultFs::new(
-            &d,
-            HostFaultPlan {
-                kind: HostFaultKind::TransientWrite,
-                fire_at: 0,
-            },
-        );
-        f.put("a.json", b"abc").unwrap();
-        assert_eq!(f.fires(), 1);
-        assert!(f.stats().retried_ok >= 1, "{:?}", f.stats());
-        assert!(!f.is_degraded());
-        assert_eq!(f.get("a.json").unwrap(), b"abc");
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn enospc_degrades_without_losing_the_write() {
-        let d = tmpdir("enospc");
-        let f = FaultFs::new(
-            &d,
-            HostFaultPlan {
-                kind: HostFaultKind::Enospc,
-                fire_at: 0,
-            },
-        );
-        f.put("a.json", b"abc").unwrap();
-        assert!(f.is_degraded());
-        assert_eq!(f.get("a.json").unwrap(), b"abc");
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn torn_write_never_exposes_partial_artifact() {
-        let d = tmpdir("torn");
-        let f = FaultFs::new(
-            &d,
-            HostFaultPlan {
-                kind: HostFaultKind::TornWrite,
-                fire_at: 0,
-            },
-        );
-        f.put("a.json", b"0123456789").unwrap();
-        assert_eq!(f.fires(), 1);
-        // The retry rewrote the tmp file from scratch; no degradation.
-        assert!(f.stats().retried_ok >= 1, "{:?}", f.stats());
-        assert!(!f.is_degraded());
-        // The final name never held the torn half.
-        assert_eq!(std::fs::read(d.join("a.json")).unwrap(), b"0123456789");
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn bit_rot_is_caught_by_sidecar() {
-        let d = tmpdir("bitrot");
-        let f = FaultFs::new(
-            &d,
-            HostFaultPlan {
-                kind: HostFaultKind::BitRot,
-                fire_at: 0,
-            },
-        );
-        f.put("a.json", b"precious-results").unwrap();
-        assert_eq!(f.fires(), 1);
-        // A fresh healthy store over the same directory detects the rot.
-        let healthy = DirStore::new(&d);
-        match healthy.get("a.json") {
-            Err(StoreError::Corrupt { .. }) => {}
-            other => panic!("expected Corrupt, got {other:?}"),
+    fn parallel_stores_on_one_dir_never_clobber_each_other() {
+        // Parallel checkpoint writers store the same key with the same
+        // bytes, each through its own store over the cache directory.
+        let d = tmpdir("parallel");
+        let stores = [DirStore::new(&d), DirStore::new(&d)];
+        let bytes: &[u8] = b"{\"report\": \"identical across writers\"}";
+        std::thread::scope(|scope| {
+            for s in &stores {
+                for _ in 0..4 {
+                    scope.spawn(|| {
+                        for _ in 0..100 {
+                            s.put("ckpt/k.snap", bytes).unwrap();
+                        }
+                    });
+                }
+            }
+        });
+        assert_eq!(stores[0].get("ckpt/k.snap").unwrap(), bytes);
+        assert_eq!(stores[1].get("ckpt/k.snap").unwrap(), bytes);
+        for entry in std::fs::read_dir(d.join("ckpt")).unwrap().flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            assert!(!name.contains(".tmp-"), "tmp file left behind: {name}");
         }
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn crash_after_write_recovers_on_restart() {
-        let d = tmpdir("crash");
-        // Fire on write op 1: op 0 is the payload tmp write (committed by
-        // the rename), op 1 is the sidecar write — so the payload is fully
-        // durable when the "machine" dies.
-        let f = FaultFs::new(
-            &d,
-            HostFaultPlan {
-                kind: HostFaultKind::CrashAfterWrite,
-                fire_at: 1,
-            },
-        );
-        f.put("a.json", b"survives").unwrap();
-        let _ = f.put("b.json", b"lost-in-crash");
-        // Restart: a fresh store sees the completed write.
-        let healthy = DirStore::new(&d);
-        assert_eq!(healthy.get("a.json").unwrap(), b"survives");
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn mem_store_basics() {
-        let s = MemStore::new();
-        assert!(!s.persistent());
-        assert!(matches!(s.get("x"), Err(StoreError::NotFound(_))));
-        s.put("x", b"1").unwrap();
-        assert!(s.exists("x"));
-        assert_eq!(s.get("x").unwrap(), b"1");
-        s.append_line("log", "a").unwrap();
-        s.append_line("log", "b").unwrap();
-        assert_eq!(s.get("log").unwrap(), b"a\nb\n");
-    }
-
-    #[test]
-    fn shared_store_is_one_instance_per_dir() {
-        let d = tmpdir("shared");
-        let a = shared_dir_store(&d);
-        let b = shared_dir_store(&d);
-        assert!(Arc::ptr_eq(&a, &b));
         let _ = std::fs::remove_dir_all(&d);
     }
 }

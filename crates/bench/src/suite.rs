@@ -13,7 +13,7 @@ use crate::journal::{Journal, JournalHeader};
 use crate::runner::{
     checkpoint_key, load_checkpoint, store_checkpoint, warmup_insts, ExperimentConfig,
 };
-use crate::store::{shared_dir_store, ArtifactStore};
+use crate::store::{ArtifactStore, DirStore};
 use cleanupspec::modes::SecurityMode;
 use cleanupspec::sim::{SimBuilder, SimReport};
 use cleanupspec_mem::MemConfig;
@@ -325,7 +325,7 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteOutcome {
             );
             return None;
         }
-        let store = shared_dir_store(dir) as std::sync::Arc<dyn ArtifactStore>;
+        let store = std::sync::Arc::new(DirStore::new(dir)) as std::sync::Arc<dyn ArtifactStore>;
         match Journal::open(store, &opts.journal_header()) {
             Ok(j) => Some(j),
             Err(e) => {

@@ -1,118 +1,23 @@
-//! Durability gates for the campaign runtime (PR 9 acceptance criteria):
+//! Durability gates for the campaign runtime:
 //!
-//! * every host-I/O fault class is retried, quarantined, degraded, or
-//!   recovered without corrupting the journal or losing completed
-//!   results — both the curated recovery matrix and a property sweep of
-//!   fault classes crossed with injection sites;
 //! * a campaign SIGKILLed mid-flight and rerun with `--resume` produces
 //!   a byte-identical final document;
 //! * a second `--resume` run replays every cell from the journal;
-//! * an unwritable checkpoint directory degrades to in-memory results
-//!   with a one-line diagnostic instead of failing the run.
+//! * an unwritable checkpoint directory costs only the cache, with a
+//!   one-line diagnostic instead of failing the run;
+//! * an unwritable output directory fails `cs-bench` with a diagnostic.
 
 use cleanupspec::modes::SecurityMode;
-use cleanupspec_bench::journal::{Journal, JournalHeader};
-use cleanupspec_bench::store::{
-    ArtifactStore, DirStore, FaultFs, HostFaultKind, HostFaultPlan, StoreError,
-};
-use cleanupspec_bench::{canonical_json, host_fault_matrix, run_suite, SuiteOptions};
+use cleanupspec_bench::{canonical_json, run_suite, SuiteOptions};
 use cleanupspec_obs::JsonValue;
 use cleanupspec_workloads::spec::SPEC_WORKLOADS;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::Arc;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cs-durability-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// The curated recovery matrix: the CI gate for "no host fault class can
-/// corrupt the journal or lose completed results".
-#[test]
-fn host_fault_matrix_handles_every_class() {
-    let rows = host_fault_matrix(0xD15C_FA11);
-    assert!(
-        rows.len() >= 6,
-        "matrix must cover at least 6 host fault classes, got {}",
-        rows.len()
-    );
-    for r in &rows {
-        assert!(r.fires >= 1, "{} never fired", r.kind.name());
-        assert!(
-            r.handled,
-            "{} was not handled (recovery: {})",
-            r.kind.name(),
-            r.recovery
-        );
-    }
-}
-
-/// Property sweep: every fault class crossed with several injection
-/// sites (`fire_at` walks the fault across the put payload, its sidecar,
-/// the journal header append, and the record appends). Two invariants,
-/// regardless of where the fault lands:
-///
-/// 1. a restarted healthy store never serves *wrong* artifact bytes —
-///    an artifact is intact, absent, or detected-and-quarantined;
-/// 2. a restarted journal never replays a *wrong* payload — each task
-///    is either absent (re-run) or replays exactly what was recorded.
-#[test]
-fn faultfs_property_sweep_over_classes_and_sites() {
-    const PAYLOAD_A: &[u8] = b"{\"artifact\": \"a\"}";
-    const T0: &str = "{\"verdict\": 0}";
-    const T1: &str = "{\"verdict\": 1}";
-    for kind in HostFaultKind::ALL {
-        for fire_at in 0..4u64 {
-            let dir = scratch(&format!("prop-{}-{fire_at}", kind.name()));
-            let faulty = Arc::new(FaultFs::new(&dir, HostFaultPlan { kind, fire_at }));
-            let header = JournalHeader {
-                campaign: "prop".to_string(),
-                config: "sweep".to_string(),
-            };
-            // Faulted phase: one artifact, one journal with two records.
-            // Nothing here may panic, whatever the injector does.
-            let _ = faulty.put("a.json", PAYLOAD_A);
-            if let Ok(j) = Journal::open(Arc::clone(&faulty) as Arc<dyn ArtifactStore>, &header) {
-                j.record("t0", T0);
-                j.record("t1", T1);
-            }
-
-            // Healthy restart: invariant 1.
-            let clean = DirStore::new(&dir);
-            match clean.get("a.json") {
-                Ok(bytes) => assert_eq!(
-                    bytes,
-                    PAYLOAD_A,
-                    "wrong artifact bytes after {} at site {fire_at}",
-                    kind.name()
-                ),
-                Err(StoreError::NotFound(_)) | Err(StoreError::Corrupt { .. }) => {}
-                Err(StoreError::Io { name, detail }) => {
-                    panic!(
-                        "restart read failed after {} at site {fire_at}: {name}: {detail}",
-                        kind.name()
-                    )
-                }
-            }
-
-            // Healthy restart: invariant 2.
-            let j = Journal::open(Arc::new(DirStore::new(&dir)), &header)
-                .expect("reopening a journal on a healthy store must never fail");
-            for (id, want) in [("t0", T0), ("t1", T1)] {
-                if let Some(got) = j.completed(id) {
-                    assert_eq!(
-                        got,
-                        want,
-                        "journal replayed a wrong payload for {id} after {} at site {fire_at}",
-                        kind.name()
-                    );
-                }
-            }
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
 }
 
 fn cs_bench_cmd(out: &Path, extra: &[&str]) -> Command {
@@ -246,7 +151,7 @@ fn second_suite_run_replays_every_cell_from_the_journal() {
 }
 
 /// An unwritable checkpoint directory must not fail the run: one
-/// diagnostic line, in-memory fallback, exit 0.
+/// diagnostic line, results simply not cached, exit 0.
 #[test]
 fn unwritable_checkpoint_dir_degrades_with_a_diagnostic() {
     let work = scratch("ro-ckpt");
@@ -285,5 +190,28 @@ fn unwritable_checkpoint_dir_degrades_with_a_diagnostic() {
         "expected the one-line degradation diagnostic, got: {stderr}"
     );
     assert!(out.exists(), "BENCH document must still be written");
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+/// An unwritable output directory must fail the run with a diagnostic:
+/// the BENCH document is the run's product.
+#[test]
+fn unwritable_out_dir_fails_cs_bench() {
+    let work = scratch("ro-out");
+    std::fs::create_dir_all(&work).unwrap();
+    let blocker = work.join("blocked");
+    std::fs::write(&blocker, b"not a directory").unwrap();
+    let output = cs_bench_cmd(&blocker.join("BENCH.json"), &[])
+        .output()
+        .expect("spawn cs-bench");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        !output.status.success(),
+        "run must fail when its document cannot be written: {stderr}"
+    );
+    assert!(
+        stderr.contains("cannot write"),
+        "expected the write diagnostic, got: {stderr}"
+    );
     let _ = std::fs::remove_dir_all(&work);
 }

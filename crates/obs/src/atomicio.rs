@@ -1,10 +1,12 @@
-//! Crash-safe file replacement shared by the file-producing writers.
+//! Crash-safe file replacement shared by every file-producing writer in
+//! the workspace (the trace and metrics sinks here, the campaign
+//! artifact store in `cleanupspec-bench`).
 //!
 //! `std::fs::write` straight onto the target path leaves a torn,
 //! half-written file behind if the process dies mid-write — and the
 //! trace/metrics writers run on `Drop` paths, which is exactly when a
 //! crashing process fires them. This helper writes to a tmp name unique
-//! to this writer (pid + process-wide counter, so two sinks flushing the
+//! to this writer (pid + process-wide counter, so two writers of the
 //! same path never clobber each other's tmp file), fsyncs, then renames
 //! into place: readers only ever observe the previous complete file or
 //! the new complete one.
@@ -16,7 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Atomically replaces `path` with `bytes` (unique tmp + fsync + rename).
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// The parent directory must exist. On error the tmp file is removed and
+/// `path` is untouched.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let leaf = path
         .file_name()
         .map(|s| s.to_string_lossy().into_owned())

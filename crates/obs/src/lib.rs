@@ -46,6 +46,7 @@ pub mod observer;
 pub mod perfetto;
 pub mod ring;
 
+pub use atomicio::atomic_write;
 pub use audit::{AuditReport, AuditResidue, LeakageAuditSink, ResidueKind};
 pub use commitlog::{CommitEntry, CommitLogSink};
 pub use episode::{EpisodeBuilder, EpisodeLeak, EpisodeRecord, EpisodeReport, LeakKind};
